@@ -1,6 +1,5 @@
 // Benchmarks regenerating the paper's evaluation artifacts, one per table
-// and figure (see DESIGN.md's experiment index and EXPERIMENTS.md for
-// recorded results):
+// and figure:
 //
 //	Table 2  -> BenchmarkTable2Fig1Safety
 //	Table 3  -> BenchmarkTable3Fig1Liveness
@@ -14,11 +13,14 @@
 package lightyear_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"lightyear/internal/core"
+	"lightyear/internal/delta"
+	"lightyear/internal/engine"
 	"lightyear/internal/minesweeper"
 	"lightyear/internal/netgen"
 	"lightyear/internal/policy"
@@ -31,7 +33,7 @@ func BenchmarkTable2Fig1Safety(b *testing.B) {
 	p := netgen.Fig1NoTransitProblem(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !core.VerifySafety(p, core.Options{Workers: 1}).OK() {
+		if !core.VerifySafety(p, core.Options{}).OK() {
 			b.Fatal("must verify")
 		}
 	}
@@ -42,7 +44,7 @@ func BenchmarkTable3Fig1Liveness(b *testing.B) {
 	p := netgen.Fig1LivenessProblem(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := core.VerifyLiveness(p, core.Options{Workers: 1})
+		rep, err := core.VerifyLiveness(p, core.Options{})
 		if err != nil || !rep.OK() {
 			b.Fatal("must verify")
 		}
@@ -57,7 +59,7 @@ func BenchmarkTable4aPeeringProperty(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		prop := props[i%len(props)]
-		if !core.VerifySafety(netgen.PeeringProblem(n, at, prop), core.Options{Workers: 1}).OK() {
+		if !core.VerifySafety(netgen.PeeringProblem(n, at, prop), core.Options{}).OK() {
 			b.Fatal("must verify")
 		}
 	}
@@ -69,7 +71,7 @@ func BenchmarkTable4bIPReuseSafety(b *testing.B) {
 	p := netgen.IPReuseSafetyProblem(n, params, 0, netgen.RegionRouter(1, 0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !core.VerifySafety(p, core.Options{Workers: 1}).OK() {
+		if !core.VerifySafety(p, core.Options{}).OK() {
 			b.Fatal("must verify")
 		}
 	}
@@ -81,7 +83,7 @@ func BenchmarkTable4cIPReuseLiveness(b *testing.B) {
 	p := netgen.IPReuseLivenessProblem(n, params, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := core.VerifyLiveness(p, core.Options{Workers: 1})
+		rep, err := core.VerifyLiveness(p, core.Options{})
 		if err != nil || !rep.OK() {
 			b.Fatal("must verify")
 		}
@@ -143,22 +145,29 @@ func BenchmarkWANPeeringSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range edges {
-			if !core.VerifySafety(netgen.PeeringProblem(n, r, prop), core.Options{Workers: 1}).OK() {
+			if !core.VerifySafety(netgen.PeeringProblem(n, r, prop), core.Options{}).OK() {
 				b.Fatal("must verify")
 			}
 		}
 	}
 }
 
-// BenchmarkParallelism is the check-execution ablation: identical problem,
-// sequential vs parallel workers.
+// BenchmarkParallelism is the check-execution ablation: identical problem
+// on engines with 1, 4 and 8 workers. The result cache is off, so every
+// iteration solves every check.
 func BenchmarkParallelism(b *testing.B) {
 	n := netgen.FullMesh(20)
 	p := netgen.FullMeshProblem(n)
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			eng := engine.New(engine.Options{Workers: workers, CacheSize: -1})
+			defer eng.Close()
 			for i := 0; i < b.N; i++ {
-				if !core.VerifySafety(p, core.Options{Workers: workers}).OK() {
+				job, err := eng.Submit(context.Background(), engine.Workload{Safety: p})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !job.Wait().OK() {
 					b.Fatal("must verify")
 				}
 			}
@@ -169,32 +178,34 @@ func BenchmarkParallelism(b *testing.B) {
 // BenchmarkIncremental measures re-verification after a single-filter edit
 // versus verification from scratch.
 func BenchmarkIncremental(b *testing.B) {
-	mk := func() (*topology.Network, *core.SafetyProblem) {
-		n := netgen.FullMesh(15)
-		return n, netgen.FullMeshProblem(n)
-	}
 	b.Run("from-scratch", func(b *testing.B) {
-		_, p := mk()
+		p := netgen.FullMeshProblem(netgen.FullMesh(15))
 		for i := 0; i < b.N; i++ {
-			if !core.VerifySafety(p, core.Options{Workers: 1}).OK() {
+			if !core.VerifySafety(p, core.Options{}).OK() {
 				b.Fatal("must verify")
 			}
 		}
 	})
 	b.Run("incremental-one-edit", func(b *testing.B) {
-		n, p := mk()
-		iv := core.NewIncrementalVerifier(p, core.Options{Workers: 1})
-		iv.Run()
+		suite, _ := netgen.Lookup("fullmesh")
+		// No engine cache: the edited check is solved, not replayed.
+		eng := engine.New(engine.Options{CacheSize: -1})
+		defer eng.Close()
+		v := delta.NewVerifier(eng, suite, netgen.SuiteParams{})
+		n := netgen.FullMesh(15)
+		if _, err := v.Baseline(n); err != nil {
+			b.Fatal(err)
+		}
 		e := topology.Edge{From: "R3", To: "R4"}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Alternate between two equivalent maps so each iteration has
 			// exactly one dirty check.
-			m := &policy.RouteMap{Name: fmt.Sprintf("v%d", i%2), DefaultPermit: true}
-			n.SetImport(e, m)
-			rep, _ := iv.Run()
-			if !rep.OK() {
-				b.Fatal("must verify")
+			n = n.Clone()
+			n.SetImport(e, &policy.RouteMap{Name: fmt.Sprintf("v%d", i%2), DefaultPermit: true})
+			res, err := v.Update(n)
+			if err != nil || !res.OK || res.DirtyChecks != 1 {
+				b.Fatalf("must verify with one dirty check: %v %v", res, err)
 			}
 		}
 	})

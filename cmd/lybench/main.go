@@ -496,7 +496,7 @@ func wanExperiment(scale string, workers int, seed int64, out string) {
 	// time (the paper's single-threaded deployment mode).
 	t0 := time.Now()
 	for _, prob := range problems {
-		rep := core.VerifySafety(prob.Safety, core.Options{Workers: 1})
+		rep := core.VerifySafety(prob.Safety, core.Options{})
 		if !rep.OK() {
 			fmt.Printf("  unexpected failure: %s\n", prob.Name)
 		}

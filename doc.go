@@ -24,16 +24,17 @@
 // Submission is one typed entry point: an engine.Workload names what to
 // verify (a safety problem, a liveness problem, or a raw check batch), the
 // Tenant submitting it, a Priority, and an admission Cost, and
-// engine.Submit(ctx, workload) returns the running job. The six legacy
-// Submit* methods remain only as deprecated shims over this path. Checks
-// are keyed by their semantic content (core.Check.Key — a truncated
-// SHA-256 over the filter policy, predicates, and ghost updates the verdict
-// depends on), so a WAN property sweep that re-issues byte-identical filter
-// checks for every router × property pair solves each distinct formula
-// once; concurrent jobs submitting the same check share the single
-// in-flight solve. Both cmd/lightyear and cmd/lybench submit to an engine,
-// lyserve exposes one over HTTP, and core.IncrementalVerifier can run on
-// one via the core.CheckRunner seam.
+// engine.Submit(ctx, workload) returns the running job. Checks are keyed
+// by their semantic content (core.Check.Key — a truncated SHA-256 over the
+// filter policy, predicates, and ghost updates the verdict depends on), so
+// a WAN property sweep that re-issues byte-identical filter checks for
+// every router × property pair solves each distinct formula once;
+// concurrent jobs submitting the same check share the single in-flight
+// solve. Both cmd/lightyear and cmd/lybench submit to an engine,
+// lyserve exposes one over HTTP, and internal/delta submits its dirty
+// subsets to one. The engine is the only concurrent executor;
+// core.VerifySafety/VerifyLiveness are the sequential reference loop the
+// engine's verdicts are tested against.
 //
 // # Tenancy and admission control
 //

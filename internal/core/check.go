@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"lightyear/internal/policy"
@@ -51,9 +49,9 @@ func (k CheckKind) String() string {
 // Check is one generated local check: a declarative Obligation (what must be
 // proven) bound to the execution options it was generated under. Construction
 // and execution are separate — SafetyProblem.Checks / LivenessProblem.Checks
-// build checks without solving anything, and any execution substrate (the
-// in-package runners, internal/engine, an internal/solver backend) decides
-// the obligation later.
+// build checks without solving anything, and an execution substrate (the
+// sequential Verify* reference loop or internal/engine) decides the
+// obligation later.
 type Check struct {
 	Kind CheckKind
 	Loc  Location // the edge or router the check pertains to
@@ -61,8 +59,7 @@ type Check struct {
 	key  string // semantic cache key for incremental verification
 
 	ob     *Obligation
-	budget int64       // conflict budget from the generating Options
-	solver CheckSolver // custom solver from the generating Options, nil = native
+	budget int64 // conflict budget from the generating Options
 }
 
 // newCheck binds an obligation to the generating options' execution
@@ -75,7 +72,6 @@ func newCheck(ob *Obligation, opts Options) Check {
 		key:    ob.key,
 		ob:     ob,
 		budget: opts.ConflictBudget,
-		solver: opts.Solver,
 	}
 }
 
@@ -102,17 +98,12 @@ func (c Check) Budget() int64 { return c.budget }
 // and independent, so Run may be called from any goroutine.
 func (c Check) Run() CheckResult { return c.RunContext(context.Background()) }
 
-// RunContext executes the check with cooperative cancellation: when ctx is
-// cancelled mid-solve the result has StatusUnknown. The check's generating
-// Options decide the solver (Options.Solver, native by default) and the
-// conflict budget.
+// RunContext executes the check on the native in-process solver with
+// cooperative cancellation: when ctx is cancelled mid-solve the result has
+// StatusUnknown. The check's generating Options decide the conflict budget;
+// other solver backends are reached through internal/engine.
 func (c Check) RunContext(ctx context.Context) CheckResult {
-	var r CheckResult
-	if c.solver != nil {
-		r = c.solver(ctx, c.ob, c.budget)
-	} else {
-		r = c.ob.Solve(ctx, SolveConfig{ConflictBudget: c.budget})
-	}
+	r := c.ob.Solve(ctx, SolveConfig{ConflictBudget: c.budget})
 	// The obligation may be shared (relabeled checks); the result reports
 	// the running check's identity.
 	r.Kind, r.Loc, r.Desc = c.Kind, c.Loc, c.Desc
@@ -327,26 +318,10 @@ func (r *Report) Summary() string {
 	return b.String()
 }
 
-// Options controls check execution.
+// Options controls check generation.
 type Options struct {
-	// Workers is the number of checks run concurrently; 0 means GOMAXPROCS.
-	// Local checks are independent, so parallelism is safe (§2's
-	// "trivially parallelizable" observation).
-	Workers int
 	// ConflictBudget bounds SAT effort per check; 0 means unlimited.
 	ConflictBudget int64
-	// Solver, when non-nil, replaces the native in-process solve for every
-	// check generated under these options — the seam internal/solver's
-	// backends (portfolio, tiered) adapt onto for the standalone runners;
-	// internal/engine routes obligations to its own backend instead.
-	Solver CheckSolver
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // SortResults orders check results deterministically by (Kind, Loc, Desc).
@@ -366,60 +341,20 @@ func SortResults(results []CheckResult) {
 
 // NewReport assembles a report from check results, sorting them
 // deterministically. It is the single result-assembly path shared by the
-// in-package runners and external execution substrates such as
-// internal/engine.
+// sequential reference executor and internal/engine.
 func NewReport(prop Property, results []CheckResult, total time.Duration) *Report {
 	SortResults(results)
 	return &Report{Property: prop, Results: results, TotalTime: total}
 }
 
-// CheckRunner executes a batch of independent local checks and assembles a
-// report. The default implementation is LocalRunner; internal/engine
-// provides a process-wide pool with cross-problem dedup and result caching.
-type CheckRunner interface {
-	RunChecks(prop Property, checks []Check) *Report
-}
-
-// LocalRunner returns a CheckRunner backed by a per-call worker pool with
-// the given options — the classic standalone execution mode.
-func LocalRunner(opts Options) CheckRunner { return localRunner{opts} }
-
-type localRunner struct{ opts Options }
-
-func (l localRunner) RunChecks(prop Property, checks []Check) *Report {
-	return runChecks(prop, checks, l.opts)
-}
-
-// runChecks executes checks (in parallel when opts.Workers != 1) and
-// assembles a report with deterministic result ordering.
-func runChecks(prop Property, checks []Check, opts Options) *Report {
+// runChecks executes checks one after another and assembles a report — the
+// sequential reference executor behind VerifySafety/VerifyLiveness, with
+// no concurrency, caching or dedup. Parallel execution is internal/engine's.
+func runChecks(prop Property, checks []Check) *Report {
 	start := time.Now()
 	results := make([]CheckResult, len(checks))
-	w := opts.workers()
-	if w > len(checks) {
-		w = len(checks)
-	}
-	if w <= 1 {
-		for i := range checks {
-			results[i] = checks[i].Run()
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					results[i] = checks[i].Run()
-				}
-			}()
-		}
-		for i := range checks {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+	for i := range checks {
+		results[i] = checks[i].Run()
 	}
 	return NewReport(prop, results, time.Since(start))
 }

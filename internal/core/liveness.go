@@ -204,11 +204,11 @@ func relabel(c Check, kind CheckKind, at Location, opts Options) Check {
 // every valid trace in which (a) a route satisfying C_1 arrives at ℓ_1 and
 // (b) no link on the path fails, a route satisfying P eventually reaches ℓ
 // (Theorem §5.3). Failures elsewhere in the network cannot invalidate the
-// conclusion.
+// conclusion. Checks run sequentially; see runChecks.
 func VerifyLiveness(p *LivenessProblem, opts Options) (*Report, error) {
 	checks, err := p.Checks(opts)
 	if err != nil {
 		return nil, err
 	}
-	return runChecks(p.Property, checks, opts), nil
+	return runChecks(p.Property, checks), nil
 }

@@ -339,10 +339,3 @@ func (ob *Obligation) Solve(ctx context.Context, cfg SolveConfig) CheckResult {
 	cr.TotalTime = time.Since(t0)
 	return cr
 }
-
-// CheckSolver is the seam through which alternative solving strategies plug
-// into check execution without core depending on them: internal/solver
-// adapts its backends onto this signature. The solver must stamp the
-// returned result's Status and may label Backend; Kind/Loc/Desc are
-// overwritten by the caller with the running check's identity.
-type CheckSolver func(ctx context.Context, ob *Obligation, conflictBudget int64) CheckResult

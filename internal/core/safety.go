@@ -82,6 +82,7 @@ func (p *SafetyProblem) Checks(opts Options) []Check {
 // VerifySafety runs all local checks for a safety problem. If the returned
 // report is OK, the property holds for all valid traces — all external
 // announcements and arbitrary node/link failures (Theorem §4.3, §4.5).
+// Checks run sequentially; see runChecks.
 func VerifySafety(p *SafetyProblem, opts Options) *Report {
-	return runChecks(p.Property, p.Checks(opts), opts)
+	return runChecks(p.Property, p.Checks(opts))
 }

@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"lightyear/internal/core"
+	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
 	"lightyear/internal/routemodel"
 	"lightyear/internal/spec"
@@ -116,11 +118,19 @@ func TestFig1MissingExportFilterLocalized(t *testing.T) {
 	}
 }
 
+// TestSafetySequentialMatchesParallel: the sequential reference executor
+// (core.VerifySafety) and the engine's parallel pool agree check by check.
 func TestSafetySequentialMatchesParallel(t *testing.T) {
 	n := netgen.Fig1(netgen.Fig1Options{OmitTransitTag: true})
 	p := netgen.Fig1NoTransitProblem(n)
-	seq := core.VerifySafety(p, core.Options{Workers: 1})
-	par := core.VerifySafety(p, core.Options{Workers: 8})
+	seq := core.VerifySafety(p, core.Options{})
+	eng := engine.New(engine.Options{Workers: 8, CacheSize: -1})
+	defer eng.Close()
+	job, err := eng.Submit(context.Background(), engine.Workload{Safety: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := job.Wait()
 	if seq.OK() != par.OK() || len(seq.Failures()) != len(par.Failures()) {
 		t.Fatal("parallel and sequential runs disagree")
 	}

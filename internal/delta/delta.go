@@ -236,6 +236,11 @@ func (v *Verifier) Baseline(n *topology.Network) (*Result, error) {
 // Update verifies n incrementally against the pinned state: only checks
 // whose semantic key has no retained result are re-solved. On return n is
 // the pinned state. Update before Baseline is an error.
+//
+// n should be a freshly built network or a Clone of the pinned one. The
+// pinned state is compared by the fingerprint recorded when it was pinned,
+// so editing the pinned network in place is still detected — but its
+// structural Diff then comes out empty, since both sides are one object.
 func (v *Verifier) Update(n *topology.Network) (*Result, error) {
 	v.runMu.Lock()
 	defer v.runMu.Unlock()
@@ -274,7 +279,7 @@ func (v *Verifier) run(prev *topology.Network, prevResults map[string]core.Check
 	if !baseline {
 		res.Diff = topology.DiffNetworks(prev, n)
 		res.ChangedRouters = changedRouters(res.Diff, prev, n)
-		if r, ok := v.unchangedResult(res, prev); ok {
+		if r, ok := v.unchangedResult(res); ok {
 			r.ElapsedNanos = time.Since(start).Nanoseconds()
 			return r, nil
 		}
@@ -364,8 +369,7 @@ func (v *Verifier) run(prev *topology.Network, prevResults map[string]core.Check
 	}
 
 	// Collect, merge reused + fresh, and re-index the retained results
-	// from scratch so entries for removed locations do not accumulate
-	// (the same re-index discipline as core.IncrementalVerifier).
+	// from scratch so entries for removed locations do not accumulate.
 	retained := make(map[string]core.CheckResult)
 	for _, pr := range runs {
 		if pr.job == nil {
@@ -418,13 +422,16 @@ func (v *Verifier) run(prev *topology.Network, prevResults map[string]core.Check
 // the engine. res must already carry the new fingerprint and (empty) diff.
 // The path is skipped while the last run has undecided checks: Unknown is
 // not a verdict, and an update is the caller's chance to re-solve it.
-func (v *Verifier) unchangedResult(res *Result, prev *topology.Network) (*Result, bool) {
-	if res.Fingerprint != prev.Fingerprint() || !res.Diff.Empty() {
+// The comparison is against the fingerprint recorded at pin time, never
+// one recomputed from the pinned pointer: a caller that edited the pinned
+// network in place would otherwise see its edit fingerprint as "no change".
+func (v *Verifier) unchangedResult(res *Result) (*Result, bool) {
+	v.mu.Lock()
+	pinned, last := v.fingerprint, v.last
+	v.mu.Unlock()
+	if res.Fingerprint != pinned || !res.Diff.Empty() {
 		return nil, false
 	}
-	v.mu.Lock()
-	last := v.last
-	v.mu.Unlock()
 	if last == nil || last.Unknown > 0 {
 		return nil, false
 	}

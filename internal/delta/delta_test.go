@@ -8,6 +8,8 @@ import (
 	"lightyear/internal/delta"
 	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
+	"lightyear/internal/policy"
+	"lightyear/internal/spec"
 	"lightyear/internal/store"
 	"lightyear/internal/topology"
 )
@@ -268,5 +270,164 @@ func TestVerifierRunsUnderWorkloadTenant(t *testing.T) {
 	}
 	if st := eng2.Stats(); st.ChecksSubmitted != 0 {
 		t.Fatalf("rejected run submitted %d checks", st.ChecksSubmitted)
+	}
+}
+
+// sourceFunc adapts a plain function to delta.ProblemSource.
+type sourceFunc func(n *topology.Network) []netgen.Problem
+
+func (f sourceFunc) Label() string                                 { return "test" }
+func (f sourceFunc) Problems(n *topology.Network) []netgen.Problem { return f(n) }
+
+func fig1Verifier(t *testing.T, eng *engine.Engine) *delta.Verifier {
+	t.Helper()
+	suite, ok := netgen.Lookup("fig1-no-transit")
+	if !ok {
+		t.Fatal("fig1-no-transit suite not registered")
+	}
+	return delta.NewVerifier(eng, suite, netgen.SuiteParams{})
+}
+
+// stripR1R2Communities is the Figure-1 bug: R2 clears communities on
+// routes from R1, dropping the 100:1 transit tag.
+func stripR1R2Communities(n *topology.Network) {
+	n.SetImport(topology.Edge{From: "R1", To: "R2"}, &policy.RouteMap{
+		Name: "r2-import-r1-buggy",
+		Clauses: []policy.Clause{
+			{Seq: 10, Actions: []policy.Action{policy.ClearCommunities{}}, Permit: true},
+		},
+	})
+}
+
+// TestUpdateDetectsInPlaceEdit is the regression test for a false OK on
+// the no-op fast path: a bug planted by editing the pinned network in place
+// must not be republished as "unchanged". The pinned fingerprint, not one
+// recomputed from the (edited) pinned pointer, decides the fast path.
+func TestUpdateDetectsInPlaceEdit(t *testing.T) {
+	eng := engine.New(engine.Options{})
+	defer eng.Close()
+	v := fig1Verifier(t, eng)
+	n := netgen.Fig1(netgen.Fig1Options{})
+	if base, err := v.Baseline(n); err != nil || !base.OK {
+		t.Fatalf("baseline: %v %v", base, err)
+	}
+	stripR1R2Communities(n)
+	res, err := v.Update(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OK || res.Unchanged || res.DirtyChecks != 1 {
+		t.Fatalf("in-place bug must dirty its check and fail: ok=%v unchanged=%v dirty=%d",
+			res.OK, res.Unchanged, res.DirtyChecks)
+	}
+}
+
+// TestUpdateBugThenFixIsPickedUp: a bug is caught and localized, and its
+// later fix verifies again instead of being masked by retained results.
+func TestUpdateBugThenFixIsPickedUp(t *testing.T) {
+	eng := engine.New(engine.Options{})
+	defer eng.Close()
+	v := fig1Verifier(t, eng)
+	n := netgen.Fig1(netgen.Fig1Options{})
+	if _, err := v.Baseline(n); err != nil {
+		t.Fatal(err)
+	}
+	buggy := n.Clone()
+	stripR1R2Communities(buggy)
+	res, err := v.Update(buggy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.OK {
+		t.Fatal("bug must be detected on the incremental update")
+	}
+	fails := res.Problems[0].Report.Failures()
+	if len(fails) != 1 || fails[0].Loc.String() != "R1 -> R2" {
+		t.Fatalf("bug should localize at R1 -> R2:\n%s", res.Problems[0].Report.Summary())
+	}
+
+	fixed := buggy.Clone()
+	fixed.SetImport(topology.Edge{From: "R1", To: "R2"}, nil)
+	if res, err = v.Update(fixed); err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK || res.DirtyChecks != 1 {
+		t.Fatalf("fix not picked up: %s", res)
+	}
+}
+
+// TestUpdateDoesNotRetainUnknown: a budget-exhausted result is not a
+// verdict, so the next Update re-solves it instead of serving it.
+func TestUpdateDoesNotRetainUnknown(t *testing.T) {
+	eng := engine.New(engine.Options{ConflictBudget: 1})
+	defer eng.Close()
+	v := delta.NewVerifierFor(eng, sourceFunc(func(n *topology.Network) []netgen.Problem {
+		return []netgen.Problem{{Name: "stress", Safety: netgen.StressProblem(n, 4)}}
+	}))
+	n := netgen.Fig1(netgen.Fig1Options{})
+	base, err := v.Baseline(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Unknown == 0 {
+		t.Fatal("stress problem decided under a 1-conflict budget; expected unknowns")
+	}
+	if v.ResultCount() != base.TotalChecks-base.Unknown {
+		t.Fatalf("retained %d results, want the %d decided ones", v.ResultCount(), base.TotalChecks-base.Unknown)
+	}
+	res, err := v.Update(n.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Unchanged || res.Unknown != base.Unknown || res.DirtyChecks != base.Unknown || res.Solved != base.Unknown {
+		t.Fatalf("the %d unknowns must be re-solved, not served: %s (unknown %d)", base.Unknown, res, res.Unknown)
+	}
+}
+
+// twoRouterNetwork is X -> A -> B, plus B -> A when withReverse is set.
+func twoRouterNetwork(withReverse bool) *topology.Network {
+	n := topology.New()
+	n.AddRouter("A", 100)
+	n.AddRouter("B", 100)
+	n.AddExternal("X", 200)
+	n.AddEdge("X", "A")
+	n.AddEdge("A", "B")
+	if withReverse {
+		n.AddEdge("B", "A")
+	}
+	return n
+}
+
+// TestUpdateAfterEdgeRemovalRetainsSurvivors: removing an edge shrinks the
+// retained results to exactly the surviving checks (the removed edge's
+// entries are re-indexed away), and every survivor is reused.
+func TestUpdateAfterEdgeRemovalRetainsSurvivors(t *testing.T) {
+	eng := engine.New(engine.Options{})
+	defer eng.Close()
+	v := delta.NewVerifierFor(eng, sourceFunc(func(n *topology.Network) []netgen.Problem {
+		return []netgen.Problem{{Name: "true-at-B", Safety: &core.SafetyProblem{
+			Network:    n,
+			Property:   core.Property{Loc: core.AtRouter("B"), Pred: spec.True()},
+			Invariants: core.NewInvariants(spec.True()),
+		}}}
+	}))
+	base, err := v.Baseline(twoRouterNetwork(true))
+	if err != nil || !base.OK {
+		t.Fatalf("full network must verify: %v %v", base, err)
+	}
+	before := v.ResultCount()
+
+	res, err := v.Update(twoRouterNetwork(false))
+	if err != nil || !res.OK {
+		t.Fatalf("shrunk network must verify: %v %v", res, err)
+	}
+	if res.TotalChecks >= base.TotalChecks {
+		t.Fatalf("edge removal should drop checks: %d -> %d", base.TotalChecks, res.TotalChecks)
+	}
+	if res.ReusedResults != res.TotalChecks {
+		t.Fatalf("surviving checks should all be reused: %s", res)
+	}
+	if got := v.ResultCount(); got >= before || got != res.TotalChecks {
+		t.Fatalf("retained results %d -> %d, want exactly the %d survivors", before, got, res.TotalChecks)
 	}
 }

@@ -165,8 +165,8 @@ func TestUnknownNotSharedAcrossBackends(t *testing.T) {
 
 // TestRawSubmittedChecksKeepGenerationBudget: a check batch generated with
 // a bounded budget keeps that bound when submitted raw to an engine whose
-// own budget is unlimited (the core.NewIncrementalVerifierOn /
-// raw-checks Workload seam).
+// own budget is unlimited (the raw-checks Workload seam internal/delta
+// submits its dirty subsets through).
 func TestRawSubmittedChecksKeepGenerationBudget(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 2}) // unlimited engine budget
 	defer eng.Close()

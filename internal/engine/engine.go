@@ -24,8 +24,11 @@
 // entering the shared queue with a typed ErrAdmission carrying a
 // RetryAfter hint, and admitted workloads are dispatched weighted-fair
 // across tenants so a flooding tenant cannot starve the others. Reserve
-// admits a multi-job unit (a compiled plan) as a whole. RunChecks makes
-// the engine a core.CheckRunner so core.IncrementalVerifier can run on it.
+// admits a multi-job unit (a compiled plan) as a whole.
+//
+// The engine is the module's only concurrent executor: core.VerifySafety and
+// core.VerifyLiveness are a sequential reference loop, and internal/delta's
+// incremental runs submit their dirty subsets here as raw check batches.
 package engine
 
 import (
@@ -424,25 +427,6 @@ func (e *Engine) Submit(ctx context.Context, w Workload) (*Job, error) {
 	return j, nil
 }
 
-// mustSubmit backs the deprecated shims, whose signatures predate
-// admission control: they panic on rejection, so they must only be used on
-// engines without admission limits.
-func (e *Engine) mustSubmit(w Workload) *Job {
-	j, err := e.Submit(context.Background(), w)
-	if err != nil {
-		panic(fmt.Sprintf("engine: legacy submit failed: %v (use Submit on engines with admission control)", err))
-	}
-	return j
-}
-
-// RunChecks implements core.CheckRunner, letting a core.IncrementalVerifier
-// (or any other producer of raw checks) execute on the shared pool and
-// benefit from the process-wide cache. The batch runs as the default tenant;
-// the CheckRunner seam predates admission control and panics on rejection.
-func (e *Engine) RunChecks(prop core.Property, checks []core.Check) *core.Report {
-	return e.mustSubmit(Workload{Kind: KindChecks, Property: prop, Checks: checks}).Wait()
-}
-
 // CheckOptions returns the core.Options the engine uses when generating
 // checks from a problem, so external check producers (internal/delta,
 // internal/plan) enumerate exactly the same checks a problem Workload
@@ -593,10 +577,10 @@ func (e *Engine) deliverWaiters(key string, r core.CheckResult, t task, waiters 
 // identities, and the backend reports the obligation's own). The conflict
 // budget is the check's own generation-time budget when it has one —
 // checks the engine generated itself carry the engine's budget, and
-// raw-submitted batches (KindChecks workloads, core.NewIncrementalVerifierOn)
-// keep the budget their producer chose — falling back to the engine's. The
-// solve runs under the job's submission context, so cancelling it turns
-// the job's remaining checks into Unknowns.
+// raw-submitted batches (KindChecks workloads, e.g. internal/delta's dirty
+// subsets) keep the budget their producer chose — falling back to the
+// engine's. The solve runs under the job's submission context, so
+// cancelling it turns the job's remaining checks into Unknowns.
 func (e *Engine) solve(t task) solver.Outcome {
 	e.checksSolved.Add(1)
 	backend := t.job.backend
@@ -686,8 +670,6 @@ func adapt(r core.CheckResult, c core.Check) core.CheckResult {
 	r.Kind, r.Loc, r.Desc = c.Kind, c.Loc, c.Desc
 	return r
 }
-
-var _ core.CheckRunner = (*Engine)(nil)
 
 // String renders a one-line summary of the engine configuration.
 func (e *Engine) String() string {

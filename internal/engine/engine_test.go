@@ -9,7 +9,6 @@ import (
 	"lightyear/internal/core"
 	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
-	"lightyear/internal/policy"
 	"lightyear/internal/topology"
 )
 
@@ -60,7 +59,7 @@ func TestEngineMatchesSequentialBaseline(t *testing.T) {
 	// Sequential baseline: fresh single-worker run per problem, no sharing.
 	baselines := make([][]string, len(problems))
 	for i, p := range problems {
-		baselines[i] = signature(core.VerifySafety(p, core.Options{Workers: 1}))
+		baselines[i] = signature(core.VerifySafety(p, core.Options{}))
 	}
 
 	// The number of distinct check keys across the whole workload.
@@ -133,7 +132,7 @@ func TestEngineMatchesSequentialBaseline(t *testing.T) {
 // includes relabeled no-interference sub-checks) through the engine.
 func TestEngineLivenessMatchesBaseline(t *testing.T) {
 	n := netgen.Fig1(netgen.Fig1Options{})
-	base, err := core.VerifyLiveness(netgen.Fig1LivenessProblem(n), core.Options{Workers: 1})
+	base, err := core.VerifyLiveness(netgen.Fig1LivenessProblem(n), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +211,7 @@ func TestRepeatedJobIsAllCacheHits(t *testing.T) {
 // failures: the Fig-1 transit-tag bug must fail identically on the engine.
 func TestEngineDetectsBugsLikeBaseline(t *testing.T) {
 	buggy := netgen.Fig1(netgen.Fig1Options{OmitTransitTag: true})
-	base := core.VerifySafety(netgen.Fig1NoTransitProblem(buggy), core.Options{Workers: 1})
+	base := core.VerifySafety(netgen.Fig1NoTransitProblem(buggy), core.Options{})
 	if base.OK() {
 		t.Fatal("baseline must fail on the buggy network")
 	}
@@ -225,38 +224,6 @@ func TestEngineDetectsBugsLikeBaseline(t *testing.T) {
 	}
 	if fmt.Sprint(signature(rep)) != fmt.Sprint(signature(base)) {
 		t.Errorf("failure reports differ:\n  engine   %v\n  baseline %v", signature(rep), signature(base))
-	}
-}
-
-// TestIncrementalVerifierOnEngine runs core.IncrementalVerifier on the
-// engine via the CheckRunner seam: warm runs reuse everything, dirty checks
-// re-run on the shared pool.
-func TestIncrementalVerifierOnEngine(t *testing.T) {
-	n := netgen.Fig1(netgen.Fig1Options{})
-	p := netgen.Fig1NoTransitProblem(n)
-	eng := engine.New(engine.Options{Workers: 4})
-	defer eng.Close()
-
-	iv := core.NewIncrementalVerifierOn(eng, p, core.Options{})
-	rep1, reused1 := iv.Run()
-	if !rep1.OK() || reused1 != 0 {
-		t.Fatalf("cold run: OK=%v reused=%d", rep1.OK(), reused1)
-	}
-	rep2, reused2 := iv.Run()
-	if !rep2.OK() || reused2 != rep2.NumChecks() {
-		t.Fatalf("warm run: OK=%v reused=%d of %d", rep2.OK(), reused2, rep2.NumChecks())
-	}
-
-	// Dirty one policy; exactly one check re-runs, on the engine.
-	n.SetImport(topology.Edge{From: "R1", To: "R3"}, &policy.RouteMap{
-		Name: "r3-import-r1-v2",
-		Clauses: []policy.Clause{
-			{Seq: 10, Actions: []policy.Action{policy.SetLocalPref{Value: 80}}, Permit: true},
-		},
-	})
-	rep3, reused3 := iv.Run()
-	if !rep3.OK() || reused3 != rep3.NumChecks()-1 {
-		t.Fatalf("dirty run: OK=%v reused=%d of %d, want %d", rep3.OK(), reused3, rep3.NumChecks(), rep3.NumChecks()-1)
 	}
 }
 

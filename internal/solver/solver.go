@@ -18,8 +18,9 @@
 //
 // Backends are selected by name through Spec (the JSON form used by plan
 // requests, the lightyear -solver flag, and lyserve), or constructed
-// directly. All backends are stateless and safe for concurrent use; the
-// engine calls Solve from many workers at once.
+// directly. internal/engine is their only executor (engine.Options.Backend,
+// or SubmitOptions.Backend per job). All backends are stateless and safe
+// for concurrent use; the engine calls Solve from many workers at once.
 package solver
 
 import (
@@ -211,13 +212,4 @@ func effective(bound int64, b Budget) int64 {
 		return bound
 	}
 	return b.Conflicts
-}
-
-// Runner adapts a backend onto the core.CheckSolver seam, so the standalone
-// runners (core.LocalRunner via Options.Solver) execute on the same backends
-// the engine routes to.
-func Runner(b Backend) core.CheckSolver {
-	return func(ctx context.Context, ob *core.Obligation, conflictBudget int64) core.CheckResult {
-		return b.Solve(ctx, ob, Budget{Conflicts: conflictBudget}).CheckResult
-	}
 }

@@ -16,7 +16,7 @@ func TestLargeWANSingleProperty(t *testing.T) {
 	n := netgen.WAN(p, netgen.WANBugs{})
 	prop := netgen.PeeringProperties(p.Regions)[0]
 	t0 := time.Now()
-	rep := core.VerifySafety(netgen.PeeringProblem(n, netgen.RegionRouter(0, 0), prop), core.Options{Workers: 1})
+	rep := core.VerifySafety(netgen.PeeringProblem(n, netgen.RegionRouter(0, 0), prop), core.Options{})
 	t.Logf("routers=%d sessions=%d checks=%d ok=%v elapsed=%v", len(n.Routers()), n.NumEdges(), rep.NumChecks(), rep.OK(), time.Since(t0))
 	if !rep.OK() {
 		t.Fatal("must verify")
