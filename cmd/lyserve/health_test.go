@@ -67,7 +67,7 @@ func TestHealthAndStatus(t *testing.T) {
 	if id == "" {
 		t.Fatalf("no job id: %+v", accepted)
 	}
-	waitDoneV2(t, ts, id)
+	waitDone(t, ts, id)
 
 	code, status := getHealthJSON(t, ts.URL+"/v1/status")
 	if code != http.StatusOK || status["status"] != "ok" {

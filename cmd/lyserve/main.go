@@ -121,42 +121,25 @@
 //	    plan also appears in the session's run history ("migrate": true,
 //	    with its result) for later GETs.
 //
-//	GET /v2/sessions/{id}, DELETE /v2/sessions/{id}
-//	    As in v1.
+//	GET /v2/sessions/{id}
+//	    The session's pinned network fingerprint, retained result count,
+//	    and run history: each baseline, update, or migration run with its
+//	    status and delta (or migration) result.
 //
-// # v1 API — single-suite requests
-//
-// The v1 endpoints keep their original request and response shapes,
-// implemented as adapters that compile each request into a single-property
-// plan.
-//
-//	POST /v1/verify
-//	    Body: {"suite": "<suite>", "regions": N,
-//	           "config": "<internal/config DSL source>"} or
-//	          {"suite": "<suite>",
-//	           "generator": {"kind": "fig1" | "fullmesh" | "wan", ...}}
-//	    Suites are the names in the internal/netgen registry. Returns 202
-//	    with {"id": "...", "status_url": "/v1/jobs/<id>"}.
-//
-//	GET /v1/jobs/{id}
-//	    The flat per-problem view: overall status (running|done),
-//	    per-problem completion counts, and — once complete — each problem's
-//	    report in the same JSON encoding `lightyear -json` emits.
-//
-//	GET /v1/stats
-//	    Engine counters (including per-solver-backend counters: solved,
-//	    unknown, variants raced, tiered escalations, solve time), job and
-//	    session counts, and — with -store — persistent-store counters.
-//
-//	POST /v1/sessions, POST /v1/sessions/{id}/update,
-//	GET /v1/sessions/{id}, DELETE /v1/sessions/{id}
-//	    Incremental sessions pinned to one suite, as before.
+//	DELETE /v2/sessions/{id}
+//	    Deletes the session; its queued runs are abandoned and later
+//	    requests for it answer 404.
 //
 // # Observability
 //
 // The service always runs with an internal/telemetry recorder: the engine,
 // admission layer, solver backends, result cache, and persistent store all
 // emit into it.
+//
+//	GET /v1/stats
+//	    Engine counters (including per-solver-backend counters: solved,
+//	    unknown, variants raced, tiered escalations, solve time), job and
+//	    session counts, and — with -store — persistent-store counters.
 //
 //	GET /metrics
 //	    Prometheus text exposition (version 0.0.4): lightyear_* counters,
@@ -173,9 +156,9 @@
 //	    dispatch, solve:<backend>, cache, store), with per-span offsets,
 //	    durations, and attributes.
 //
-// Every verification request is traced end to end: POST /v1/verify and
-// POST /v2/verify answer with an X-Trace-Id header (and a trace_id field
-// in the 202 body and job snapshots), every NDJSON event of the run
+// Every verification request is traced end to end: POST /v2/verify
+// answers with an X-Trace-Id header (and a trace_id field in the 202
+// body and job snapshots), every NDJSON event of the run
 // carries the same trace_id, and once the run completes the trace is
 // retrievable at /v1/traces/{id}.
 //
@@ -191,6 +174,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -472,14 +456,7 @@ func admissionError(w http.ResponseWriter, err error) bool {
 
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/verify", s.handleVerifyV1)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobV1)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("POST /v1/sessions", s.handleSessionCreateV1)
-	mux.HandleFunc("POST /v1/sessions/{id}/update", s.handleSessionUpdateV1)
-	mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionGet)
-	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
-
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	mux.HandleFunc("GET /v1/traces/{id}", s.handleTrace)
@@ -558,11 +535,23 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeBody decodes a JSON request body capped at maxRequestBody,
-// answering 413 for oversized bodies and 400 for malformed ones. Returns
-// false when the request has been answered.
+// answering 413 for oversized bodies and 400 for malformed ones. The body
+// must hold exactly one JSON document: a second value after it is a 400,
+// never silently ignored. Returns false when the request has been answered.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(v)
+	if err == nil {
+		var extra json.RawMessage
+		switch err = dec.Decode(&extra); {
+		case errors.Is(err, io.EOF):
+			err = nil
+		case err == nil:
+			err = errors.New("trailing data after the JSON document")
+		}
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge,
@@ -674,7 +663,7 @@ func (s *server) gc(now time.Time) int {
 // log served by GET /v2/jobs/{id}/events, and the final result.
 type serviceJob struct {
 	id      string
-	label   string // v1 suite name, or the plan's property list
+	label   string // the plan's property list (plan.Compiled.Label)
 	tenant  string // tenant the plan was admitted under
 	cost    int    // admission cost (the plan's compiled check count)
 	traceID string // the run's telemetry trace ("" without a recorder)
@@ -826,41 +815,6 @@ func (j *serviceJob) fillReports() {
 	}
 }
 
-// verifyRequest is the POST /v1/verify body (and session create/update
-// bodies): one suite plus a network source.
-type verifyRequest struct {
-	Suite     string                `json:"suite"`
-	Regions   int                   `json:"regions,omitempty"`
-	Config    string                `json:"config,omitempty"`
-	Generator *netgen.GeneratorSpec `json:"generator,omitempty"`
-	Tenant    string                `json:"tenant,omitempty"`
-	Priority  int                   `json:"priority,omitempty"`
-}
-
-// planRequest compiles the v1 body into a single-property plan request.
-func (r *verifyRequest) planRequest() plan.Request {
-	return plan.Request{
-		Network:    plan.Network{Config: r.Config, Generator: r.Generator},
-		Properties: []plan.Property{{Name: r.Suite}},
-		Options:    plan.Options{WANRegions: r.Regions, Tenant: r.Tenant, Priority: r.Priority},
-	}
-}
-
-// compileV1 validates and compiles a v1 request, answering 400 on error.
-func (s *server) compileV1(w http.ResponseWriter, req *verifyRequest) (*plan.Compiled, bool) {
-	if _, ok := netgen.Lookup(req.Suite); !ok {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown suite %q (have: %s)",
-			req.Suite, strings.Join(netgen.SuiteNames(), ", ")))
-		return nil, false
-	}
-	c, err := plan.Compile(req.planRequest(), s)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, strings.TrimPrefix(err.Error(), "plan: "))
-		return nil, false
-	}
-	return c, true
-}
-
 // reservePlan admits the compiled plan as one unit against the engine,
 // answering 429 + Retry-After on rejection. The caller owns the returned
 // reservation (plan.Run releases it).
@@ -925,29 +879,6 @@ func accepted(w http.ResponseWriter, j *serviceJob, urls map[string]string) {
 	json.NewEncoder(w).Encode(body)
 }
 
-func (s *server) handleVerifyV1(w http.ResponseWriter, r *http.Request) {
-	var req verifyRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	req.Tenant = requestTenant(r, req.Tenant)
-	var c *plan.Compiled
-	var ok bool
-	tr, ok := s.startRequestTrace("v1:"+req.Suite, req.Tenant, func() bool {
-		c, ok = s.compileV1(w, &req)
-		return ok
-	})
-	if !ok {
-		return
-	}
-	resv, ok := s.admitTraced(w, c, tr)
-	if !ok {
-		return
-	}
-	j := s.launchPlan(c, req.Suite, resv, tr)
-	accepted(w, j, map[string]string{"status_url": "/v1/jobs/" + j.id})
-}
-
 func (s *server) handleVerifyV2(w http.ResponseWriter, r *http.Request) {
 	var req plan.Request
 	if !decodeBody(w, r, &req) {
@@ -987,20 +918,6 @@ func (s *server) handleVerifyV2(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// jobJSON is the GET /v1/jobs/{id} response: the flat single-suite view.
-type jobJSON struct {
-	ID       string            `json:"id"`
-	Suite    string            `json:"suite"`
-	Tenant   string            `json:"tenant,omitempty"`
-	TraceID  string            `json:"trace_id,omitempty"`
-	Cost     int               `json:"cost,omitempty"` // admitted check count
-	Status   string            `json:"status"`         // running | done
-	OK       *bool             `json:"ok,omitempty"`
-	Error    string            `json:"error,omitempty"`
-	Created  time.Time         `json:"created"`
-	Problems []problemStatusJS `json:"problems"`
-}
-
 type problemStatusJS struct {
 	Name       string             `json:"name"`
 	Status     string             `json:"status"` // running | done | skipped | failed
@@ -1031,32 +948,6 @@ func (ps *problemState) statusJS() problemStatusJS {
 		st.Status = "running"
 	}
 	return st
-}
-
-func (j *serviceJob) snapshotV1() jobJSON {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.fillReports()
-	out := jobJSON{ID: j.id, Suite: j.label, Tenant: j.tenant, TraceID: j.traceID,
-		Cost: j.cost, Error: j.errMsg, Created: j.created, Status: "running"}
-	allOK := true
-	for _, prop := range j.props {
-		for _, ps := range prop.problems {
-			st := ps.statusJS()
-			if st.Status == "failed" || (st.Status == "done" && !ps.ok) {
-				allOK = false
-			}
-			out.Problems = append(out.Problems, st)
-		}
-	}
-	if j.finished {
-		out.Status = "done"
-		if j.result != nil {
-			allOK = j.result.OK
-		}
-		out.OK = &allOK
-	}
-	return out
 }
 
 // jobV2JSON is the GET /v2/jobs/{id} response: the plan view, grouped per
@@ -1122,12 +1013,6 @@ func (s *server) lookupJob(w http.ResponseWriter, r *http.Request) (*serviceJob,
 		return nil, false
 	}
 	return j, true
-}
-
-func (s *server) handleJobV1(w http.ResponseWriter, r *http.Request) {
-	if j, ok := s.lookupJob(w, r); ok {
-		writeJSON(w, j.snapshotV1())
-	}
 }
 
 func (s *server) handleJobV2(w http.ResponseWriter, r *http.Request) {
@@ -1204,7 +1089,7 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // stay asynchronous.
 type session struct {
 	id      string
-	label   string         // suite name (v1) or plan property list (v2)
+	label   string         // the plan's property list (plan.Compiled.Label)
 	tenant  string         // tenant every run of this session is admitted under
 	plan    *plan.Compiled // the pinned plan; updates re-validate scopes against it
 	created time.Time
@@ -1273,7 +1158,7 @@ type sessionRun struct {
 // prechecked against admission so a session that could never run is 429ed
 // here; the binding admission decision is the session worker's (each run
 // reserves its own dirty cost under the session's tenant).
-func (s *server) createSession(w http.ResponseWriter, c *plan.Compiled, statusPrefix string) {
+func (s *server) createSession(w http.ResponseWriter, c *plan.Compiled) {
 	cost := c.Cost()
 	c.ReleasePrepared() // only the scalar is needed; the plan is pinned for the session's lifetime
 	if err := s.eng.AdmitProbe(c.Tenant(), cost); err != nil {
@@ -1312,21 +1197,8 @@ func (s *server) createSession(w http.ResponseWriter, c *plan.Compiled, statusPr
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(map[string]string{
 		"id":         sess.id,
-		"status_url": statusPrefix + sess.id,
+		"status_url": "/v2/sessions/" + sess.id,
 	})
-}
-
-func (s *server) handleSessionCreateV1(w http.ResponseWriter, r *http.Request) {
-	var req verifyRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	req.Tenant = requestTenant(r, req.Tenant)
-	c, ok := s.compileV1(w, &req)
-	if !ok {
-		return
-	}
-	s.createSession(w, c, "/v1/sessions/")
 }
 
 func (s *server) handleSessionCreateV2(w http.ResponseWriter, r *http.Request) {
@@ -1348,7 +1220,7 @@ func (s *server) handleSessionCreateV2(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, strings.TrimPrefix(err.Error(), "plan: "))
 		return
 	}
-	s.createSession(w, c, "/v2/sessions/")
+	s.createSession(w, c)
 }
 
 func (s *server) lookupSession(w http.ResponseWriter, r *http.Request) (*session, bool) {
@@ -1380,7 +1252,7 @@ func sessionTenantAllowed(w http.ResponseWriter, r *http.Request, sess *session,
 
 // launchUpdate queues a materialized network as a session update and
 // answers 202.
-func launchUpdate(w http.ResponseWriter, sess *session, n *topology.Network, statusPrefix string) {
+func launchUpdate(w http.ResponseWriter, sess *session, n *topology.Network) {
 	run := sess.launch(n, false)
 	if run == nil {
 		httpError(w, http.StatusNotFound, "session deleted")
@@ -1391,7 +1263,7 @@ func launchUpdate(w http.ResponseWriter, sess *session, n *topology.Network, sta
 	json.NewEncoder(w).Encode(map[string]any{
 		"id":         sess.id,
 		"update":     run.seq,
-		"status_url": statusPrefix + sess.id,
+		"status_url": "/v2/sessions/" + sess.id,
 	})
 }
 
@@ -1446,40 +1318,6 @@ func (sess *session) currentSrcFP() string {
 	return sess.srcFP
 }
 
-func (s *server) handleSessionUpdateV1(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookupSession(w, r)
-	if !ok {
-		return
-	}
-	var req verifyRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if !sessionTenantAllowed(w, r, sess, req.Tenant) {
-		return
-	}
-	if req.Suite != "" && req.Suite != sess.label {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("session is pinned to suite %q; updates cannot change it", sess.label))
-		return
-	}
-	if n, ok := sess.sameConfigSource(req.Config); ok {
-		launchUpdate(w, sess, n, "/v1/sessions/")
-		return
-	}
-	n, _, err := plan.Network{Config: req.Config, Generator: req.Generator}.Materialize(s)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := sess.plan.ValidateScopes(n); err != nil {
-		httpError(w, http.StatusBadRequest, strings.TrimPrefix(err.Error(), "plan: "))
-		return
-	}
-	sess.pinSourceFP(req.Config)
-	launchUpdate(w, sess, n, "/v1/sessions/")
-}
-
 // sessionUpdateV2 is the POST /v2/sessions/{id}/update body: a new network
 // state for the session's pinned plan, plus (optionally) the caller's
 // tenant when it is not asserted via header or query.
@@ -1504,7 +1342,7 @@ func (s *server) handleSessionUpdateV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if n, ok := sess.sameConfigSource(req.Network.Config); ok {
-		launchUpdate(w, sess, n, "/v2/sessions/")
+		launchUpdate(w, sess, n)
 		return
 	}
 	n, _, err := req.Network.Materialize(s)
@@ -1520,7 +1358,7 @@ func (s *server) handleSessionUpdateV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.pinSourceFP(req.Network.Config)
-	launchUpdate(w, sess, n, "/v2/sessions/")
+	launchUpdate(w, sess, n)
 }
 
 // sessionMigrateV2 is the POST /v2/sessions/{id}/migrate body: a migration
@@ -1797,7 +1635,7 @@ func (sess *session) worker() {
 	}
 }
 
-// sessionJSON is the GET /v{1,2}/sessions/{id} response.
+// sessionJSON is the GET /v2/sessions/{id} response.
 type sessionJSON struct {
 	ID          string           `json:"id"`
 	Suite       string           `json:"suite"`

@@ -25,9 +25,13 @@ func newTestServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
+// postVerify submits a plan to POST /v2/verify and returns the job id.
+// fig1Plan verifies fig1-no-transit on the Figure 1 network.
+const fig1Plan = `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}]}`
+
 func postVerify(t *testing.T, ts *httptest.Server, body string) string {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewBufferString(body))
+	resp, err := http.Post(ts.URL+"/v2/verify", "application/json", bytes.NewBufferString(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,39 +39,41 @@ func postVerify(t *testing.T, ts *httptest.Server, body string) string {
 	if resp.StatusCode != http.StatusAccepted {
 		var e map[string]string
 		json.NewDecoder(resp.Body).Decode(&e)
-		t.Fatalf("POST /v1/verify = %d, want 202 (error: %s)", resp.StatusCode, e["error"])
+		t.Fatalf("POST /v2/verify = %d, want 202 (error: %s)", resp.StatusCode, e["error"])
 	}
 	var out struct {
 		ID        string `json:"id"`
 		StatusURL string `json:"status_url"`
+		EventsURL string `json:"events_url"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.ID == "" || out.StatusURL != "/v1/jobs/"+out.ID {
+	if out.ID == "" || out.StatusURL != "/v2/jobs/"+out.ID || out.EventsURL != "/v2/jobs/"+out.ID+"/events" {
 		t.Fatalf("bad accept payload: %+v", out)
 	}
 	return out.ID
 }
 
-func getJob(t *testing.T, ts *httptest.Server, id string) jobJSON {
+func getJob(t *testing.T, ts *httptest.Server, id string) jobV2JSON {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	resp, err := http.Get(ts.URL + "/v2/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/jobs/%s = %d, want 200", id, resp.StatusCode)
+		t.Fatalf("GET /v2/jobs/%s = %d, want 200", id, resp.StatusCode)
 	}
-	var j jobJSON
+	var j jobV2JSON
 	if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
 		t.Fatal(err)
 	}
 	return j
 }
 
-func waitDone(t *testing.T, ts *httptest.Server, id string) jobJSON {
+// waitDone polls the job snapshot until the job completes.
+func waitDone(t *testing.T, ts *httptest.Server, id string) jobV2JSON {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
@@ -78,7 +84,7 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) jobJSON {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not complete in time", id)
-	return jobJSON{}
+	return jobV2JSON{}
 }
 
 // TestVerifyRoundTrip drives the full async API: submit a WAN peering
@@ -87,19 +93,19 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) jobJSON {
 func TestVerifyRoundTrip(t *testing.T) {
 	ts := newTestServer(t)
 	id := postVerify(t, ts, `{
-		"suite": "wan-peering",
-		"generator": {"kind": "wan", "regions": 3, "routers_per_region": 2,
-		              "edge_routers": 2, "dcs_per_region": 1, "peers_per_edge": 2}
+		"network": {"generator": {"kind": "wan", "regions": 3, "routers_per_region": 2,
+		                          "edge_routers": 2, "dcs_per_region": 1, "peers_per_edge": 2}},
+		"properties": [{"name": "wan-peering"}]
 	}`)
 	j := waitDone(t, ts, id)
 
-	if j.Suite != "wan-peering" || j.OK == nil || !*j.OK {
+	if j.Label != "wan-peering" || j.OK == nil || !*j.OK || len(j.Properties) != 1 {
 		t.Fatalf("job should verify: %+v", j)
 	}
-	if len(j.Problems) == 0 {
+	if len(j.Properties[0].Problems) == 0 {
 		t.Fatal("no problems in job")
 	}
-	for _, p := range j.Problems {
+	for _, p := range j.Properties[0].Problems {
 		if p.Status != "done" || p.Report == nil || !p.Report.OK {
 			t.Fatalf("problem %s: status=%s report=%v", p.Name, p.Status, p.Report)
 		}
@@ -137,10 +143,10 @@ func TestVerifyRoundTrip(t *testing.T) {
 func TestConcurrentVerifyJobs(t *testing.T) {
 	ts := newTestServer(t)
 	bodies := []string{
-		`{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`,
-		`{"suite": "fig1-liveness", "generator": {"kind": "fig1"}}`,
-		`{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`,
-		`{"suite": "fullmesh", "generator": {"kind": "fullmesh", "size": 6}}`,
+		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}]}`,
+		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-liveness"}]}`,
+		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}]}`,
+		`{"network": {"generator": {"kind": "fullmesh", "size": 6}}, "properties": [{"name": "fullmesh"}]}`,
 	}
 	ids := make([]string, len(bodies))
 	var wg sync.WaitGroup
@@ -161,7 +167,7 @@ func TestConcurrentVerifyJobs(t *testing.T) {
 		seen[id] = true
 		j := waitDone(t, ts, id)
 		if j.OK == nil || !*j.OK {
-			t.Errorf("job %s (%s) failed: %+v", id, j.Suite, j)
+			t.Errorf("job %s (%s) failed: %+v", id, j.Label, j)
 		}
 	}
 }
@@ -171,8 +177,8 @@ func TestConcurrentVerifyJobs(t *testing.T) {
 func TestVerifyFromConfigDSL(t *testing.T) {
 	ts := newTestServer(t)
 	body, err := json.Marshal(map[string]any{
-		"suite":  "fig1-no-transit",
-		"config": netgen.Fig1DSL(netgen.Fig1Options{}),
+		"network":    map[string]any{"config": netgen.Fig1DSL(netgen.Fig1Options{})},
+		"properties": []map[string]any{{"name": "fig1-no-transit"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,13 +196,18 @@ func TestVerifyFromConfigDSL(t *testing.T) {
 func TestNonOptionalLivenessFailureFailsJob(t *testing.T) {
 	ts := newTestServer(t)
 	// fig1-liveness on a full mesh: the Customer -> R3 path does not exist.
-	id := postVerify(t, ts, `{"suite": "fig1-liveness", "generator": {"kind": "fullmesh", "size": 4}}`)
+	id := postVerify(t, ts,
+		`{"network": {"generator": {"kind": "fullmesh", "size": 4}}, "properties": [{"name": "fig1-liveness"}]}`)
 	j := waitDone(t, ts, id)
 	if j.OK == nil || *j.OK {
 		t.Fatalf("job must report ok=false when a required problem cannot run: %+v", j)
 	}
-	if len(j.Problems) != 1 || j.Problems[0].Status != "failed" || j.Problems[0].SkipReason == "" {
-		t.Fatalf("problem should be marked failed with a reason: %+v", j.Problems)
+	if len(j.Properties) != 1 {
+		t.Fatalf("want one property, got %+v", j.Properties)
+	}
+	pbs := j.Properties[0].Problems
+	if len(pbs) != 1 || pbs[0].Status != "failed" || pbs[0].SkipReason == "" {
+		t.Fatalf("problem should be marked failed with a reason: %+v", pbs)
 	}
 }
 
@@ -216,7 +227,7 @@ func newTestServerWithState(t *testing.T) (*httptest.Server, *server) {
 // fresh jobs must survive.
 func TestJobGC(t *testing.T) {
 	ts, srv := newTestServerWithState(t)
-	id := postVerify(t, ts, `{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`)
+	id := postVerify(t, ts, fig1Plan)
 	waitDone(t, ts, id)
 
 	// Before the TTL elapses nothing is collected.
@@ -227,7 +238,7 @@ func TestJobGC(t *testing.T) {
 	if n := srv.gc(time.Now().Add(srv.ttl + time.Minute)); n != 1 {
 		t.Fatalf("gc after TTL removed %d jobs, want 1", n)
 	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	resp, err := http.Get(ts.URL + "/v2/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,13 +271,13 @@ type sessionStatus struct {
 
 func getSession(t *testing.T, ts *httptest.Server, id string) sessionStatus {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/sessions/" + id)
+	resp, err := http.Get(ts.URL + "/v2/sessions/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/sessions/%s = %d, want 200", id, resp.StatusCode)
+		t.Fatalf("GET /v2/sessions/%s = %d, want 200", id, resp.StatusCode)
 	}
 	var s sessionStatus
 	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
@@ -299,8 +310,8 @@ func TestSessionIncrementalFlow(t *testing.T) {
 			"edge_routers": %d, "dcs_per_region": 1, "peers_per_edge": 2}`, edgeRouters)
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json",
-		bytes.NewBufferString(`{"suite": "wan-peering", "generator": `+gen(1)+`}`))
+	resp, err := http.Post(ts.URL+"/v2/sessions", "application/json",
+		bytes.NewBufferString(`{"network": {"generator": `+gen(1)+`}, "properties": [{"name": "wan-peering"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,11 +320,11 @@ func TestSessionIncrementalFlow(t *testing.T) {
 		StatusURL string `json:"status_url"`
 	}
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /v1/sessions = %d, want 202", resp.StatusCode)
+		t.Fatalf("POST /v2/sessions = %d, want 202", resp.StatusCode)
 	}
 	json.NewDecoder(resp.Body).Decode(&created)
 	resp.Body.Close()
-	if created.ID == "" || created.StatusURL != "/v1/sessions/"+created.ID {
+	if created.ID == "" || created.StatusURL != "/v2/sessions/"+created.ID {
 		t.Fatalf("bad accept payload: %+v", created)
 	}
 
@@ -331,7 +342,7 @@ func TestSessionIncrementalFlow(t *testing.T) {
 
 	post := func(body string) int {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/sessions/"+created.ID+"/update",
+		resp, err := http.Post(ts.URL+"/v2/sessions/"+created.ID+"/update",
 			"application/json", bytes.NewBufferString(body))
 		if err != nil {
 			t.Fatal(err)
@@ -350,7 +361,7 @@ func TestSessionIncrementalFlow(t *testing.T) {
 	}
 
 	// No-op update: everything reused, nothing solved.
-	seq := post(`{"generator": ` + gen(1) + `}`)
+	seq := post(`{"network": {"generator": ` + gen(1) + `}}`)
 	st = waitRunDone(t, ts, created.ID, seq)
 	noop := st.Runs[seq]
 	if noop.Status != "done" || noop.Result == nil || !noop.Result.OK {
@@ -362,7 +373,7 @@ func TestSessionIncrementalFlow(t *testing.T) {
 	}
 
 	// Growth update: adding an edge router dirties part of the suite.
-	seq = post(`{"generator": ` + gen(2) + `}`)
+	seq = post(`{"network": {"generator": ` + gen(2) + `}}`)
 	st = waitRunDone(t, ts, created.ID, seq)
 	grow := st.Runs[seq]
 	if grow.Status != "done" || grow.Result == nil || !grow.Result.OK {
@@ -378,10 +389,14 @@ func TestSessionIncrementalFlow(t *testing.T) {
 	if len(r.ChangedRouters) == 0 {
 		t.Fatalf("growth update should report changed routers: %+v", r)
 	}
+	// Updates carry only a network: the session stays pinned to its plan.
+	if st.Suite != "wan-peering" {
+		t.Fatalf("session label after updates = %q, want wan-peering", st.Suite)
+	}
 
-	// Errors: unknown session, suite mismatch.
-	resp, err = http.Post(ts.URL+"/v1/sessions/session-999/update", "application/json",
-		bytes.NewBufferString(`{"generator": `+gen(1)+`}`))
+	// Errors: unknown session.
+	resp, err = http.Post(ts.URL+"/v2/sessions/session-999/update", "application/json",
+		bytes.NewBufferString(`{"network": {"generator": `+gen(1)+`}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,20 +404,11 @@ func TestSessionIncrementalFlow(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown session update = %d, want 404", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/v1/sessions/"+created.ID+"/update", "application/json",
-		bytes.NewBufferString(`{"suite": "fullmesh", "generator": `+gen(1)+`}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("suite-mismatch update = %d, want 400", resp.StatusCode)
-	}
 
 	// Delete the session: it disappears, and further use 404s.
 	del := func() int {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+created.ID, nil)
+		req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v2/sessions/"+created.ID, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,49 +425,13 @@ func TestSessionIncrementalFlow(t *testing.T) {
 	if code := del(); code != http.StatusNotFound {
 		t.Fatalf("second DELETE = %d, want 404", code)
 	}
-	resp, err = http.Get(ts.URL + "/v1/sessions/" + created.ID)
+	resp, err = http.Get(ts.URL + "/v2/sessions/" + created.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET deleted session = %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestBadRequests exercises the API error contract.
-func TestBadRequests(t *testing.T) {
-	ts := newTestServer(t)
-	cases := []struct {
-		name string
-		body string
-		want int
-	}{
-		{"bad-json", `{`, http.StatusBadRequest},
-		{"unknown-suite", `{"suite": "nope", "generator": {"kind": "fig1"}}`, http.StatusBadRequest},
-		{"no-network", `{"suite": "fig1-no-transit"}`, http.StatusBadRequest},
-		{"both-networks", `{"suite": "fig1-no-transit", "config": "x", "generator": {"kind": "fig1"}}`, http.StatusBadRequest},
-		{"bad-generator", `{"suite": "fig1-no-transit", "generator": {"kind": "torus"}}`, http.StatusBadRequest},
-		{"bad-config", `{"suite": "fig1-no-transit", "config": "not a config"}`, http.StatusBadRequest},
-	}
-	for _, c := range cases {
-		resp, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewBufferString(c.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != c.want {
-			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
-		}
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/jobs/job-999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -606,7 +576,7 @@ func TestV2LateEventSubscriber(t *testing.T) {
 	_, accepted := postJSON(t, ts.URL+"/v2/verify",
 		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}]}`)
 	id := accepted["id"].(string)
-	waitDone(t, ts, id) // v1 job view works for v2 jobs too
+	waitDone(t, ts, id)
 
 	resp, err := http.Get(ts.URL + "/v2/jobs/" + id + "/events")
 	if err != nil {
@@ -634,7 +604,11 @@ func TestV2BadRequests(t *testing.T) {
 		want int
 	}{
 		{"bad-json", `{`, http.StatusBadRequest},
+		{"trailing-data", fig1Plan + ` {"properties": [{"name": "nope"}]}`, http.StatusBadRequest},
 		{"no-network", `{"properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
+		{"both-networks", `{"network": {"config": "x", "generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
+		{"bad-generator", `{"network": {"generator": {"kind": "torus"}}, "properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
+		{"bad-config", `{"network": {"config": "not a config"}, "properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
 		{"no-properties", `{"network": {"generator": {"kind": "fig1"}}}`, http.StatusBadRequest},
 		{"unknown-property", `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "nope"}]}`, http.StatusBadRequest},
 		{"unknown-router", `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit", "routers": ["bogus"]}]}`, http.StatusBadRequest},
@@ -653,24 +627,63 @@ func TestV2BadRequests(t *testing.T) {
 			t.Errorf("config_path rejection should not touch the filesystem: %q", out["error"])
 		}
 	}
+
+	resp, err := http.Get(ts.URL + "/v2/jobs/job-999")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestRetiredV1RoutesAnswer404: the v1 verify, job and session routes are
+// gone, even for jobs and sessions that exist; only their /v2 counterparts
+// serve them.
+func TestRetiredV1RoutesAnswer404(t *testing.T) {
+	ts := newTestServer(t)
+	job := postVerify(t, ts, fig1Plan)
+	_, created := postJSON(t, ts.URL+"/v2/sessions", fig1Plan)
+	sess, _ := created["id"].(string)
+	for _, route := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/verify"},
+		{http.MethodGet, "/v1/jobs/" + job},
+		{http.MethodPost, "/v1/sessions"},
+		{http.MethodPost, "/v1/sessions/" + sess + "/update"},
+		{http.MethodGet, "/v1/sessions/" + sess},
+		{http.MethodDelete, "/v1/sessions/" + sess},
+	} {
+		req, err := http.NewRequest(route.method, ts.URL+route.path, strings.NewReader(fig1Plan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", route.method, route.path, resp.StatusCode)
+		}
+	}
 }
 
 // TestRequestBodyTooLarge: every decode site must cap bodies at 1 MiB and
 // answer 413.
 func TestRequestBodyTooLarge(t *testing.T) {
 	ts := newTestServer(t)
-	huge := `{"suite": "fig1-no-transit", "config": "` + strings.Repeat("x", 2<<20) + `"}`
-	for _, url := range []string{"/v1/verify", "/v1/sessions", "/v2/verify", "/v2/sessions"} {
+	huge := `{"network": {"config": "` + strings.Repeat("x", 2<<20) + `"}}`
+	for _, url := range []string{"/v2/verify", "/v2/sessions"} {
 		resp, _ := postJSON(t, ts.URL+url, huge)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("POST %s with 2 MiB body = %d, want 413", url, resp.StatusCode)
 		}
 	}
 	// Session update decode sites, against a real session.
-	_, accepted := postJSON(t, ts.URL+"/v1/sessions",
-		`{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`)
+	_, accepted := postJSON(t, ts.URL+"/v2/sessions", fig1Plan)
 	id := accepted["id"].(string)
-	for _, url := range []string{"/v1/sessions/" + id + "/update", "/v2/sessions/" + id + "/update"} {
+	for _, url := range []string{"/v2/sessions/" + id + "/update", "/v2/sessions/" + id + "/migrate"} {
 		resp, _ := postJSON(t, ts.URL+url, huge)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("POST %s with 2 MiB body = %d, want 413", url, resp.StatusCode)
@@ -754,7 +767,7 @@ func TestV2SessionScopedPlan(t *testing.T) {
 // baseProblemCount counts the problems of the session's latest run.
 func baseProblemCount(t *testing.T, ts *httptest.Server, id string) int {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/sessions/" + id)
+	resp, err := http.Get(ts.URL + "/v2/sessions/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -782,21 +795,16 @@ func baseProblemCount(t *testing.T, ts *httptest.Server, id string) int {
 // config and generator must 400, not silently pick one.
 func TestSessionUpdateAmbiguousSourceRejected(t *testing.T) {
 	ts := newTestServer(t)
-	_, accepted := postJSON(t, ts.URL+"/v1/sessions",
-		`{"suite": "fig1-no-transit", "generator": {"kind": "fig1"}}`)
+	_, accepted := postJSON(t, ts.URL+"/v2/sessions", fig1Plan)
 	id := accepted["id"].(string)
 	ambiguous := fmt.Sprintf(`{"config": %q, "generator": {"kind": "fig1"}}`,
 		netgen.Fig1DSL(netgen.Fig1Options{}))
-	for _, url := range []string{"/v1/sessions/" + id + "/update", "/v2/sessions/" + id + "/update"} {
-		resp, out := postJSON(t, ts.URL+url, ambiguous)
+	// Update bodies nest the source under "network"; a flat body names no
+	// network at all.
+	for _, body := range []string{ambiguous, `{"network": ` + ambiguous + `}`} {
+		resp, out := postJSON(t, ts.URL+"/v2/sessions/"+id+"/update", body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s with ambiguous network = %d (%v), want 400", url, resp.StatusCode, out)
+			t.Errorf("update with ambiguous network %.40s... = %d (%v), want 400", body, resp.StatusCode, out)
 		}
-	}
-	// v2 update bodies nest the source under "network".
-	resp, out := postJSON(t, ts.URL+"/v2/sessions/"+id+"/update",
-		`{"network": `+ambiguous+`}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("v2 nested ambiguous network = %d (%v), want 400", resp.StatusCode, out)
 	}
 }

@@ -6,34 +6,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"lightyear/internal/engine"
 )
-
-// waitDoneV2 polls the v2 snapshot until the job completes.
-func waitDoneV2(t *testing.T, ts *httptest.Server, id string) map[string]any {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/v2/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var j map[string]any
-		err = json.NewDecoder(resp.Body).Decode(&j)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if j["status"] == "done" {
-			return j
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("job %s did not complete in time", id)
-	return nil
-}
 
 // TestV2SolverBackendAndStats: the request's solver option routes the job to
 // the portfolio backend, the per-property stats say so, and /v1/stats
@@ -49,16 +24,15 @@ func TestV2SolverBackendAndStats(t *testing.T) {
 	if id == "" {
 		t.Fatalf("no job id: %+v", accepted)
 	}
-	job := waitDoneV2(t, ts, id)
-	if ok, _ := job["ok"].(bool); !ok {
+	job := waitDone(t, ts, id)
+	if job.OK == nil || !*job.OK {
 		t.Fatalf("stress plan not ok: %+v", job)
 	}
-	props := job["properties"].([]any)
-	stats := props[0].(map[string]any)["stats"].(map[string]any)
-	if stats["backend"] != "portfolio" {
-		t.Fatalf("property stats backend = %v, want portfolio", stats["backend"])
+	stats := job.Properties[0].Stats
+	if stats == nil || stats.Backend != "portfolio" {
+		t.Fatalf("property stats backend = %+v, want portfolio", stats)
 	}
-	if raced, _ := stats["raced"].(float64); raced == 0 {
+	if stats.Raced == 0 {
 		t.Fatalf("no racing recorded: %+v", stats)
 	}
 
@@ -89,20 +63,17 @@ func TestV2UnknownStatusOverHTTP(t *testing.T) {
 		"options": {"solver": {"backend": "native", "budget": 1}}
 	}`)
 	id, _ := accepted["id"].(string)
-	job := waitDoneV2(t, ts, id)
-	if ok, _ := job["ok"].(bool); ok {
+	job := waitDone(t, ts, id)
+	if job.OK == nil || *job.OK {
 		t.Fatal("budget-starved job reported ok")
 	}
-	props := job["properties"].([]any)
-	problems := props[0].(map[string]any)["problems"].([]any)
 	unknown, failed := 0, 0
-	for _, pb := range problems {
-		rep, _ := pb.(map[string]any)["report"].(map[string]any)
-		if rep == nil {
+	for _, pb := range job.Properties[0].Problems {
+		if pb.Report == nil {
 			t.Fatalf("problem without report: %+v", pb)
 		}
-		unknown += int(rep["num_unknown"].(float64))
-		failed += int(rep["num_failed"].(float64))
+		unknown += pb.Report.NumUnknown
+		failed += pb.Report.NumFailed
 	}
 	if unknown == 0 || failed != 0 {
 		t.Fatalf("num_unknown=%d num_failed=%d, want >0 and 0", unknown, failed)
@@ -133,7 +104,7 @@ func TestEventWindowTruncation(t *testing.T) {
 	_, accepted := postJSON(t, ts.URL+"/v2/verify",
 		`{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}]}`)
 	id := accepted["id"].(string)
-	waitDoneV2(t, ts, id)
+	waitDone(t, ts, id)
 
 	resp, err := http.Get(ts.URL + "/v2/jobs/" + id + "/events")
 	if err != nil {

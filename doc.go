@@ -111,8 +111,8 @@
 // semantic key already has a retained result, and submits only the dirty
 // subset to the engine, reporting {changed routers, dirty checks, reused
 // results, solved}. Surfaces: `lightyear -diff old.cfg` for incremental
-// CLI runs, the lyserve session API (POST /v1/sessions, POST
-// /v1/sessions/{id}/update, GET /v1/sessions/{id}), and `lybench
+// CLI runs, the lyserve session API (POST /v2/sessions, POST
+// /v2/sessions/{id}/update, GET /v2/sessions/{id}), and `lybench
 // -experiment delta` for the change-size vs re-verification-cost sweep.
 //
 // # Migration plans
@@ -169,8 +169,7 @@
 //     and a final "plan" event); `GET /v2/jobs/{id}` is the grouped
 //     snapshot.
 //     `POST /v2/sessions` pins a plan for incremental updates that inherit
-//     its scoping. The v1 endpoints remain as single-suite adapters over
-//     the same machinery.
+//     its scoping.
 //   - Library: plan.Execute (one-stop) or plan.Compile + plan.Run on a
 //     long-lived engine; a Compiled plan is also a delta.ProblemSource.
 //
