@@ -186,13 +186,10 @@ import (
 	"syscall"
 	"time"
 
-	"lightyear/internal/config"
 	"lightyear/internal/corpus"
-	"lightyear/internal/delta"
 	"lightyear/internal/engine"
 	"lightyear/internal/fabric"
 	"lightyear/internal/logging"
-	"lightyear/internal/migrate"
 	"lightyear/internal/netgen"
 	"lightyear/internal/plan"
 	"lightyear/internal/solver"
@@ -486,54 +483,6 @@ func (s *server) routes() http.Handler {
 	return mux
 }
 
-// handleMetrics serves the Prometheus text exposition of the process
-// recorder.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.rec == nil {
-		httpError(w, http.StatusNotFound, "telemetry disabled")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.rec.WriteMetrics(w); err != nil {
-		srvLog.Warn("write metrics failed", slog.Any("error", err))
-	}
-}
-
-// handleTraces serves the recorder's retained completed traces, newest
-// first; ?limit=N caps the count.
-func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if s.rec == nil {
-		httpError(w, http.StatusNotFound, "telemetry disabled")
-		return
-	}
-	limit := 0
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "limit must be a positive integer")
-			return
-		}
-		limit = n
-	}
-	traces := s.rec.Traces(limit)
-	writeJSON(w, map[string]any{"count": len(traces), "traces": traces})
-}
-
-// handleTrace serves one completed trace by ID (the X-Trace-Id a verify
-// request answered with).
-func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.rec == nil {
-		httpError(w, http.StatusNotFound, "telemetry disabled")
-		return
-	}
-	snap, ok := s.rec.Trace(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such trace (not finished yet, or evicted from the ring)")
-		return
-	}
-	writeJSON(w, snap)
-}
-
 // decodeBody decodes a JSON request body capped at maxRequestBody,
 // answering 413 for oversized bodies and 400 for malformed ones. The body
 // must hold exactly one JSON document: a second value after it is a 400,
@@ -656,1076 +605,6 @@ func (s *server) gc(now time.Time) int {
 			slog.Duration("idle_beyond", s.sessionTTL))
 	}
 	return removed + len(expired)
-}
-
-// serviceJob is one verification request running as a plan: per-property,
-// per-problem state updated from the run's event stream, the ordered event
-// log served by GET /v2/jobs/{id}/events, and the final result.
-type serviceJob struct {
-	id      string
-	label   string // the plan's property list (plan.Compiled.Label)
-	tenant  string // tenant the plan was admitted under
-	cost    int    // admission cost (the plan's compiled check count)
-	traceID string // the run's telemetry trace ("" without a recorder)
-	created time.Time
-	window  int // event-history bound (<=0 = unbounded)
-
-	mu       sync.Mutex
-	props    []*propertyState
-	events   []plan.Event
-	dropped  int           // events evicted from the front of the history
-	notify   chan struct{} // closed and replaced whenever events/finished change
-	finished bool
-	done     time.Time
-	errMsg   string // run error (admission race); job reports failed
-	result   *plan.Result
-}
-
-type propertyState struct {
-	property plan.Property
-	problems []*problemState
-}
-
-type problemState struct {
-	name       string
-	total      int
-	completed  int
-	skipped    bool   // optional problem not applicable to this network
-	failed     bool   // problem could not be submitted; fails the job
-	skipReason string // reason for skipped or failed
-	report     *engine.ReportJSON
-	stats      *engine.JobStats
-	ok         bool
-}
-
-// doneAt reports whether the job has completed and when.
-func (j *serviceJob) doneAt() (bool, time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.finished, j.done
-}
-
-// launchPlan registers a job for the compiled plan — already admitted via
-// resv, which the run takes ownership of — and starts it on the shared
-// engine. tr is the trace the handler opened for the request (nil without
-// a recorder); the run records into it and finishes it.
-func (s *server) launchPlan(c *plan.Compiled, label string, resv *engine.Reservation, tr *telemetry.Trace) *serviceJob {
-	j := &serviceJob{
-		label:   label,
-		tenant:  engine.NormalizeTenant(c.Tenant()),
-		cost:    c.Cost(),
-		traceID: tr.ID(),
-		created: time.Now(),
-		window:  s.eventWindow,
-		notify:  make(chan struct{}),
-	}
-	for _, u := range c.Units {
-		ps := &propertyState{property: u.Property}
-		for _, p := range u.Problems {
-			ps.problems = append(ps.problems, &problemState{name: p.Name})
-		}
-		j.props = append(j.props, ps)
-	}
-	s.mu.Lock()
-	s.seq++
-	j.id = fmt.Sprintf("job-%d", s.seq)
-	s.jobs[j.id] = j
-	s.mu.Unlock()
-
-	go func() {
-		res, err := plan.Run(s.eng, c, plan.RunConfig{Sink: j.handleEvent, Store: s.store, Reservation: resv, Trace: tr})
-		errMsg := ""
-		if err != nil {
-			// The handler reserved admission for the whole plan, and only
-			// delta-mode plans error otherwise; record defensively rather
-			// than wedge the job.
-			srvLog.Error("plan run failed",
-				slog.String(logging.KeyJob, j.id),
-				slog.String(logging.KeyTenant, j.tenant),
-				slog.String(logging.KeyTraceID, j.traceID),
-				slog.Any("error", err))
-			errMsg = err.Error()
-			res = &plan.Result{}
-		}
-		j.mu.Lock()
-		j.result = res
-		j.errMsg = errMsg
-		j.finished = true
-		j.done = time.Now()
-		close(j.notify)
-		j.notify = make(chan struct{})
-		j.mu.Unlock()
-	}()
-	return j
-}
-
-// handleEvent is the plan.Run sink: it appends the event to the replay log,
-// folds it into the per-problem state, and wakes streaming watchers. Calls
-// are serialized by plan.Run.
-func (j *serviceJob) handleEvent(ev plan.Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if ev.Type == "start" || ev.Type == "check" || ev.Type == "problem" {
-		if ev.Prop < len(j.props) && ev.Idx < len(j.props[ev.Prop].problems) {
-			ps := j.props[ev.Prop].problems[ev.Idx]
-			switch ev.Type {
-			case "start":
-				ps.total = ev.Total
-			case "check":
-				ps.completed, ps.total = ev.Completed, ev.Total
-			case "problem":
-				ps.skipped, ps.failed, ps.skipReason = ev.Skipped, ev.Failed, ev.Reason
-				if ev.OK != nil {
-					ps.ok = *ev.OK
-				}
-				if ev.Stats != nil {
-					ps.stats = ev.Stats
-					ps.completed, ps.total = ev.Stats.Checks, ev.Stats.Checks
-				}
-			}
-		}
-	}
-	j.events = append(j.events, ev)
-	if j.window > 0 && len(j.events) > j.window {
-		// Bound the replay history: evict the oldest events and remember how
-		// many, so late subscribers get a truncation marker instead of the
-		// missing prefix. Live subscribers past the eviction point are
-		// unaffected (their cursor is absolute).
-		evict := len(j.events) - j.window
-		j.events = j.events[evict:]
-		j.dropped += evict
-	}
-	close(j.notify)
-	j.notify = make(chan struct{})
-}
-
-// fillReports copies the final per-problem reports out of the plan result
-// into the snapshot state. Called lazily from snapshots (the result carries
-// the reports; events deliberately do not).
-func (j *serviceJob) fillReports() {
-	if j.result == nil {
-		return
-	}
-	for pi, pr := range j.result.Properties {
-		for i := range pr.Problems {
-			if pi < len(j.props) && i < len(j.props[pi].problems) {
-				j.props[pi].problems[i].report = pr.Problems[i].ReportJSON
-			}
-		}
-	}
-}
-
-// reservePlan admits the compiled plan as one unit against the engine,
-// answering 429 + Retry-After on rejection. The caller owns the returned
-// reservation (plan.Run releases it).
-func (s *server) reservePlan(w http.ResponseWriter, c *plan.Compiled) (*engine.Reservation, bool) {
-	resv, err := s.eng.Reserve(c.Tenant(), c.Cost())
-	if err != nil {
-		if !admissionError(w, err) {
-			httpError(w, http.StatusInternalServerError, err.Error())
-		}
-		return nil, false
-	}
-	return resv, true
-}
-
-// startRequestTrace opens the request's end-to-end trace on the process
-// recorder (nil without one) and runs fn — the compilation step — under a
-// "compile" span. The trace ID is handed back to the client before the
-// asynchronous run starts.
-func (s *server) startRequestTrace(label, tenant string, fn func() bool) (*telemetry.Trace, bool) {
-	tr := s.rec.StartTrace(label, engine.NormalizeTenant(tenant))
-	cs := tr.StartSpan("compile")
-	ok := fn()
-	if !ok {
-		cs.SetAttr("error", "true")
-	}
-	cs.End()
-	if !ok {
-		tr.Finish()
-	}
-	return tr, ok
-}
-
-// admitTraced wraps the plan reservation in an "admit" span; a rejected
-// plan's trace is finished here with the rejection recorded.
-func (s *server) admitTraced(w http.ResponseWriter, c *plan.Compiled, tr *telemetry.Trace) (*engine.Reservation, bool) {
-	as := tr.StartSpan("admit")
-	as.SetAttrInt("cost", int64(c.Cost()))
-	resv, ok := s.reservePlan(w, c)
-	if !ok {
-		as.SetAttr("rejected", "true")
-	}
-	as.End()
-	if !ok {
-		tr.Finish()
-	}
-	return resv, ok
-}
-
-// accepted answers 202 with the job's URLs and trace ID, echoing the trace
-// in an X-Trace-Id header.
-func accepted(w http.ResponseWriter, j *serviceJob, urls map[string]string) {
-	body := map[string]string{"id": j.id}
-	for k, v := range urls {
-		body[k] = v
-	}
-	if j.traceID != "" {
-		body["trace_id"] = j.traceID
-		w.Header().Set("X-Trace-Id", j.traceID)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(body)
-}
-
-func (s *server) handleVerifyV2(w http.ResponseWriter, r *http.Request) {
-	var req plan.Request
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Options.Baseline != nil {
-		httpError(w, http.StatusBadRequest,
-			"options.baseline is not supported on /v2/verify; use sessions for incremental runs")
-		return
-	}
-	if !rejectConfigPath(w, req.Network) {
-		return
-	}
-	req.Options.Tenant = requestTenant(r, req.Options.Tenant)
-	var c *plan.Compiled
-	tr, ok := s.startRequestTrace("plan", req.Options.Tenant, func() bool {
-		var err error
-		c, err = plan.Compile(req, s)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, strings.TrimPrefix(err.Error(), "plan: "))
-			return false
-		}
-		return true
-	})
-	if !ok {
-		return
-	}
-	tr.SetLabel(c.Label())
-	resv, ok := s.admitTraced(w, c, tr)
-	if !ok {
-		return
-	}
-	j := s.launchPlan(c, c.Label(), resv, tr)
-	accepted(w, j, map[string]string{
-		"status_url": "/v2/jobs/" + j.id,
-		"events_url": "/v2/jobs/" + j.id + "/events",
-	})
-}
-
-type problemStatusJS struct {
-	Name       string             `json:"name"`
-	Status     string             `json:"status"` // running | done | skipped | failed
-	Completed  int                `json:"completed"`
-	Total      int                `json:"total"`
-	SkipReason string             `json:"skip_reason,omitempty"`
-	Report     *engine.ReportJSON `json:"report,omitempty"`
-	Stats      *engine.JobStats   `json:"stats,omitempty"`
-}
-
-func (ps *problemState) statusJS() problemStatusJS {
-	st := problemStatusJS{
-		Name:       ps.name,
-		Completed:  ps.completed,
-		Total:      ps.total,
-		SkipReason: ps.skipReason,
-		Report:     ps.report,
-		Stats:      ps.stats,
-	}
-	switch {
-	case ps.failed:
-		st.Status = "failed"
-	case ps.skipped:
-		st.Status = "skipped"
-	case ps.stats != nil:
-		st.Status = "done"
-	default:
-		st.Status = "running"
-	}
-	return st
-}
-
-// jobV2JSON is the GET /v2/jobs/{id} response: the plan view, grouped per
-// property.
-type jobV2JSON struct {
-	ID         string             `json:"id"`
-	Label      string             `json:"label"`
-	Tenant     string             `json:"tenant,omitempty"`
-	TraceID    string             `json:"trace_id,omitempty"`
-	Cost       int                `json:"cost,omitempty"` // admitted check count
-	Status     string             `json:"status"`         // running | done
-	OK         *bool              `json:"ok,omitempty"`
-	Error      string             `json:"error,omitempty"`
-	Created    time.Time          `json:"created"`
-	Properties []propertyStatusJS `json:"properties"`
-	Engine     *engine.Stats      `json:"engine,omitempty"`
-}
-
-type propertyStatusJS struct {
-	Property plan.Property     `json:"property"`
-	OK       *bool             `json:"ok,omitempty"`
-	Stats    *engine.JobStats  `json:"stats,omitempty"`
-	Problems []problemStatusJS `json:"problems"`
-}
-
-func (j *serviceJob) snapshotV2() jobV2JSON {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.fillReports()
-	out := jobV2JSON{ID: j.id, Label: j.label, Tenant: j.tenant, TraceID: j.traceID,
-		Cost: j.cost, Error: j.errMsg, Created: j.created, Status: "running"}
-	for pi, prop := range j.props {
-		ps := propertyStatusJS{Property: prop.property}
-		for _, pb := range prop.problems {
-			ps.Problems = append(ps.Problems, pb.statusJS())
-		}
-		if j.result != nil && pi < len(j.result.Properties) {
-			pr := j.result.Properties[pi]
-			ok := pr.OK
-			st := pr.Stats
-			ps.OK, ps.Stats = &ok, &st
-		}
-		out.Properties = append(out.Properties, ps)
-	}
-	if j.finished {
-		out.Status = "done"
-		if j.result != nil {
-			ok := j.result.OK
-			out.OK = &ok
-			eng := j.result.Engine
-			out.Engine = &eng
-		}
-	}
-	return out
-}
-
-func (s *server) lookupJob(w http.ResponseWriter, r *http.Request) (*serviceJob, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
-		return nil, false
-	}
-	return j, true
-}
-
-func (s *server) handleJobV2(w http.ResponseWriter, r *http.Request) {
-	if j, ok := s.lookupJob(w, r); ok {
-		writeJSON(w, j.snapshotV2())
-	}
-}
-
-// handleJobEvents streams the job's plan events as NDJSON: the retained
-// history so far, then live events until the final "plan" event closes the
-// stream. The cursor is an absolute event index; when the job's bounded
-// history (-event-window) has already evicted events the subscriber has not
-// seen, a single {"type":"truncated","dropped":K} marker is emitted in
-// their place.
-func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	flusher, canFlush := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	idx := 0 // absolute index of the next event to deliver
-	for {
-		j.mu.Lock()
-		gap := 0
-		if idx < j.dropped {
-			gap = j.dropped - idx
-			idx = j.dropped
-		}
-		pendingEvents := j.events[idx-j.dropped:] // elements are immutable once appended
-		notify := j.notify
-		finished := j.finished
-		j.mu.Unlock()
-
-		if gap > 0 {
-			marker := plan.Event{Type: "truncated", Dropped: gap,
-				Reason: "event window exceeded; earlier events evicted"}
-			if err := enc.Encode(marker); err != nil {
-				return
-			}
-		}
-		for _, ev := range pendingEvents {
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-		}
-		idx += len(pendingEvents)
-		if (gap > 0 || len(pendingEvents) > 0) && canFlush {
-			flusher.Flush()
-		}
-		// finished and events were read under one lock hold: once finished,
-		// the log is complete, and everything up to idx has been delivered.
-		if finished {
-			return
-		}
-		select {
-		case <-notify:
-		case <-r.Context().Done():
-			return
-		case <-s.shutdown:
-			// Graceful shutdown: everything retained so far has been
-			// delivered and flushed above; close the stream so
-			// http.Server.Shutdown can finish draining connections.
-			return
-		}
-	}
-}
-
-// session is one incremental verification session: a pinned delta.Verifier
-// plus the history of runs applied to it. A single worker goroutine drains
-// the queue, so runs execute in submission order while the HTTP handlers
-// stay asynchronous.
-type session struct {
-	id      string
-	label   string         // the plan's property list (plan.Compiled.Label)
-	tenant  string         // tenant every run of this session is admitted under
-	plan    *plan.Compiled // the pinned plan; updates re-validate scopes against it
-	created time.Time
-
-	verifier *delta.Verifier
-	store    *store.Store // nil without -store; provenance tagging only
-	wake     chan struct{}
-
-	mu         sync.Mutex
-	runs       []*sessionRun
-	queue      []*queuedRun
-	running    int       // runs dequeued by the worker but not yet recorded
-	lastActive time.Time // last launch or run completion
-	closed     bool      // session deleted: worker exits, launches are refused
-	srcFP      string    // config.SourceFingerprint of the last inline-config network; "" when generator-sourced
-}
-
-// expireIfIdle closes the session if it has been idle (no queued or
-// running work) since before cutoff, reporting whether it expired. The
-// close decision is made under sess.mu together with the idleness check,
-// so launch() can never enqueue a run into a session the GC is about to
-// drop — a racing update is either observed here (the session survives) or
-// refused with 404 by launch() seeing closed.
-func (sess *session) expireIfIdle(cutoff time.Time) bool {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if sess.closed || len(sess.queue) > 0 || sess.running > 0 || !sess.lastActive.Before(cutoff) {
-		return false
-	}
-	sess.closed = true
-	sess.queue = nil
-	return true
-}
-
-// queuedRun is one pending run awaiting the session worker: a network to
-// baseline/update against, or a migration plan closure. migrateFn entries
-// carry an abandon hook the session's close() invokes — under the queue's
-// mutual exclusion with the worker's dequeue, so exactly once — to release
-// the plan's reservation and end its event stream when the session is
-// deleted before the plan runs.
-type queuedRun struct {
-	run      *sessionRun
-	network  *topology.Network
-	baseline bool
-
-	migrateFn func() (*migrate.Result, error)
-	abandon   func()
-}
-
-// sessionRun is one baseline, update, or migration plan applied to a
-// session.
-type sessionRun struct {
-	seq       int
-	submitted time.Time
-	baseline  bool
-	migrate   bool
-
-	status        string // running | done | failed
-	errMsg        string
-	result        *delta.Result
-	migrateResult *migrate.Result
-}
-
-// createSession registers and starts a session whose problem source is the
-// compiled plan, pinning c.Network as the baseline. The baseline's cost is
-// prechecked against admission so a session that could never run is 429ed
-// here; the binding admission decision is the session worker's (each run
-// reserves its own dirty cost under the session's tenant).
-func (s *server) createSession(w http.ResponseWriter, c *plan.Compiled) {
-	cost := c.Cost()
-	c.ReleasePrepared() // only the scalar is needed; the plan is pinned for the session's lifetime
-	if err := s.eng.AdmitProbe(c.Tenant(), cost); err != nil {
-		if !admissionError(w, err) {
-			httpError(w, http.StatusInternalServerError, err.Error())
-		}
-		return
-	}
-	sess := &session{
-		label:      c.Label(),
-		tenant:     engine.NormalizeTenant(c.Tenant()),
-		plan:       c,
-		created:    time.Now(),
-		lastActive: time.Now(),
-		verifier:   delta.NewVerifierFor(s.eng, c),
-		store:      s.store,
-		wake:       make(chan struct{}, 1),
-	}
-	if cfg := c.Request.Network.Config; cfg != "" {
-		sess.srcFP = config.SourceFingerprint(cfg)
-	}
-	// The request's tenant, priority, and solver backend follow the
-	// session: every incremental update's dirty subset is admitted under
-	// the session's tenant and solves on the backend the plan selected.
-	sess.verifier.SetWorkload(c.Workload())
-	go sess.worker()
-	s.mu.Lock()
-	s.sseq++
-	sess.id = fmt.Sprintf("session-%d", s.sseq)
-	s.sessions[sess.id] = sess
-	s.mu.Unlock()
-
-	sess.launch(c.Network, true)
-
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(map[string]string{
-		"id":         sess.id,
-		"status_url": "/v2/sessions/" + sess.id,
-	})
-}
-
-func (s *server) handleSessionCreateV2(w http.ResponseWriter, r *http.Request) {
-	var req plan.Request
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Options.Baseline != nil {
-		httpError(w, http.StatusBadRequest,
-			"options.baseline is not supported on sessions; the session pins its own baseline")
-		return
-	}
-	if !rejectConfigPath(w, req.Network) {
-		return
-	}
-	req.Options.Tenant = requestTenant(r, req.Options.Tenant)
-	c, err := plan.Compile(req, s)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, strings.TrimPrefix(err.Error(), "plan: "))
-		return
-	}
-	s.createSession(w, c)
-}
-
-func (s *server) lookupSession(w http.ResponseWriter, r *http.Request) (*session, bool) {
-	s.mu.Lock()
-	sess, ok := s.sessions[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such session")
-		return nil, false
-	}
-	return sess, true
-}
-
-// sessionTenantAllowed enforces the session's tenant on mutating session
-// endpoints: updates run under — and are charged to — the session's
-// tenant, so a caller presenting a different identity may not consume that
-// quota (or delete the session). The identity is resolved through the same
-// channels as creation (X-Tenant header, ?tenant= query, then the request
-// body's tenant field), so a session created via the body's tenant option
-// remains mutable by its creator. Answers 403 and reports false on
-// mismatch.
-func sessionTenantAllowed(w http.ResponseWriter, r *http.Request, sess *session, bodyTenant string) bool {
-	if engine.NormalizeTenant(requestTenant(r, bodyTenant)) != sess.tenant {
-		httpError(w, http.StatusForbidden, "session belongs to a different tenant")
-		return false
-	}
-	return true
-}
-
-// launchUpdate queues a materialized network as a session update and
-// answers 202.
-func launchUpdate(w http.ResponseWriter, sess *session, n *topology.Network) {
-	run := sess.launch(n, false)
-	if run == nil {
-		httpError(w, http.StatusNotFound, "session deleted")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(map[string]any{
-		"id":         sess.id,
-		"update":     run.seq,
-		"status_url": "/v2/sessions/" + sess.id,
-	})
-}
-
-// sameConfigSource reports whether an inline-config update normalizes to
-// the session's pinned source — a comment- or whitespace-only diff — and,
-// when it does, returns the pinned network so the handler can skip the
-// parse and scope re-validation entirely; the queued update then hits the
-// delta verifier's unchanged fast path and republishes the pinned verdicts
-// (Result.Unchanged) without re-solving anything. A genuinely new source
-// re-pins the session's fingerprint and materializes normally. cfg == ""
-// (generator-sourced update) never matches.
-func (sess *session) sameConfigSource(cfg string) (*topology.Network, bool) {
-	if cfg == "" {
-		return nil, false
-	}
-	fp := config.SourceFingerprint(cfg)
-	sess.mu.Lock()
-	same := sess.srcFP != "" && fp == sess.srcFP
-	sess.mu.Unlock()
-	if !same {
-		return nil, false
-	}
-	// Before the baseline run completes there is no pinned state to reuse;
-	// fall through to a normal materialized update (it queues behind the
-	// baseline anyway).
-	n := sess.verifier.PinnedNetwork()
-	return n, n != nil
-}
-
-// pinSourceFP records the source identity of the network an update
-// successfully materialized from: the normalized config fingerprint for
-// inline-config updates, or "" for generator-sourced ones (the pinned
-// state no longer corresponds to any stored config source, so nothing may
-// match it). Deliberately called only after Materialize succeeds — a
-// source the parser rejects must never become the comparison base, or
-// resubmitting the same broken source would silently "match" and skip the
-// error.
-func (sess *session) pinSourceFP(cfg string) {
-	fp := ""
-	if cfg != "" {
-		fp = config.SourceFingerprint(cfg)
-	}
-	sess.mu.Lock()
-	sess.srcFP = fp
-	sess.mu.Unlock()
-}
-
-// currentSrcFP reads the session's pinned source fingerprint.
-func (sess *session) currentSrcFP() string {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.srcFP
-}
-
-// sessionUpdateV2 is the POST /v2/sessions/{id}/update body: a new network
-// state for the session's pinned plan, plus (optionally) the caller's
-// tenant when it is not asserted via header or query.
-type sessionUpdateV2 struct {
-	Network plan.Network `json:"network"`
-	Tenant  string       `json:"tenant,omitempty"`
-}
-
-func (s *server) handleSessionUpdateV2(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookupSession(w, r)
-	if !ok {
-		return
-	}
-	var req sessionUpdateV2
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if !sessionTenantAllowed(w, r, sess, req.Tenant) {
-		return
-	}
-	if !rejectConfigPath(w, req.Network) {
-		return
-	}
-	if n, ok := sess.sameConfigSource(req.Network.Config); ok {
-		launchUpdate(w, sess, n)
-		return
-	}
-	n, _, err := req.Network.Materialize(s)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// The pinned plan's scopes must still select real routers on the new
-	// state, or the incremental run would silently verify a smaller —
-	// possibly empty — problem set.
-	if err := sess.plan.ValidateScopes(n); err != nil {
-		httpError(w, http.StatusBadRequest, strings.TrimPrefix(err.Error(), "plan: "))
-		return
-	}
-	sess.pinSourceFP(req.Network.Config)
-	launchUpdate(w, sess, n)
-}
-
-// sessionMigrateV2 is the POST /v2/sessions/{id}/migrate body: a migration
-// plan's step list (the session pins the baseline, properties, and
-// options), plus the search controls and optionally the caller's tenant.
-// Network and Properties are decoded only so that bodies carrying them are
-// rejected by CompileSteps with a real explanation rather than silently
-// ignored.
-type sessionMigrateV2 struct {
-	Network      *plan.Network   `json:"network,omitempty"`
-	Properties   []plan.Property `json:"properties,omitempty"`
-	Steps        []migrate.Step  `json:"steps"`
-	Unordered    bool            `json:"unordered,omitempty"`
-	SearchBudget int             `json:"search_budget,omitempty"`
-	Tenant       string          `json:"tenant,omitempty"`
-}
-
-// handleSessionMigrate verifies a migration plan against the session's
-// pinned baseline and streams its step-indexed events as NDJSON. Unlike
-// updates (202 + poll), the response is the run: migration is a deployment
-// gate, and the caller wants the first violating step the moment it is
-// found. The plan executes on the session worker — strictly ordered with
-// the session's other runs — while this handler relays its events; a
-// disconnecting client does not abort the plan (the session must end on a
-// verified state, pinned or rolled back, not mid-sequence).
-func (s *server) handleSessionMigrate(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookupSession(w, r)
-	if !ok {
-		return
-	}
-	var req sessionMigrateV2
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if !sessionTenantAllowed(w, r, sess, req.Tenant) {
-		return
-	}
-	var c *migrate.Compiled
-	var cerr error
-	tr, ok := s.startRequestTrace("migrate:"+sess.label, sess.tenant, func() bool {
-		c, cerr = migrate.CompileSteps(migrate.Plan{
-			Network:      req.Network,
-			Properties:   req.Properties,
-			Steps:        req.Steps,
-			Unordered:    req.Unordered,
-			SearchBudget: req.SearchBudget,
-		}, sess.plan, sess.currentSrcFP())
-		return cerr == nil
-	})
-	if !ok {
-		httpError(w, http.StatusBadRequest, strings.TrimPrefix(cerr.Error(), "plan: "))
-		return
-	}
-	// Whole-plan admission, decided before the stream opens: every step
-	// re-solves at most the plan's full per-state cost, and the steps run
-	// sequentially, so one reservation covers the entire sequence. An
-	// over-quota migration is a clean 429 here, never a failure mid-plan.
-	resv, ok := s.admitTraced(w, sess.plan, tr)
-	if !ok {
-		return
-	}
-
-	events := make(chan migrate.Event, 256)
-	clientGone := make(chan struct{})
-	run := sess.launchMigrate(func() (*migrate.Result, error) {
-		defer close(events)
-		defer tr.Finish()
-		res, err := migrate.Run(context.Background(), s.eng, c, migrate.RunConfig{
-			Verifier:         sess.verifier,
-			BaselineSourceFP: sess.currentSrcFP(),
-			Reservation:      resv, // released by Run
-			Store:            s.store,
-			Recorder:         s.rec,
-			Trace:            tr,
-			Sink: func(ev migrate.Event) {
-				select {
-				case events <- ev:
-				case <-clientGone:
-					// Client disconnected; keep running, drop the event.
-				}
-			},
-		})
-		if err != nil {
-			select {
-			case events <- migrate.Event{Type: migrate.EvError, Step: -1, PlanStep: -1, Reason: err.Error()}:
-			case <-clientGone:
-			}
-		}
-		return res, err
-	}, func() {
-		// Session deleted while the plan was queued: nothing ran, nothing
-		// was reserved beyond the admission we took — hand it back and end
-		// the stream.
-		resv.Release()
-		tr.Finish()
-		close(events)
-	})
-	if run == nil {
-		resv.Release()
-		tr.Finish()
-		httpError(w, http.StatusNotFound, "session deleted")
-		return
-	}
-
-	flusher, canFlush := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if id := tr.ID(); id != "" {
-		w.Header().Set("X-Trace-Id", id)
-	}
-	w.WriteHeader(http.StatusOK)
-	defer close(clientGone)
-	enc := json.NewEncoder(w)
-	for {
-		select {
-		case ev, open := <-events:
-			if !open {
-				return
-			}
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-			if canFlush {
-				flusher.Flush()
-			}
-		case <-r.Context().Done():
-			return
-		case <-s.shutdown:
-			// Everything emitted so far has been flushed; the plan itself
-			// finishes on the session worker.
-			return
-		}
-	}
-}
-
-// launch enqueues a run and returns immediately; the session worker
-// executes queued runs in submission order (run seq and queue position are
-// assigned under one lock hold, so they agree). Returns nil if the session
-// has been deleted.
-func (sess *session) launch(n *topology.Network, baseline bool) *sessionRun {
-	sess.mu.Lock()
-	if sess.closed {
-		sess.mu.Unlock()
-		return nil
-	}
-	run := &sessionRun{seq: len(sess.runs), submitted: time.Now(), baseline: baseline, status: "running"}
-	sess.runs = append(sess.runs, run)
-	sess.queue = append(sess.queue, &queuedRun{run: run, network: n, baseline: baseline})
-	sess.lastActive = time.Now()
-	sess.mu.Unlock()
-	select {
-	case sess.wake <- struct{}{}:
-	default: // worker already signaled
-	}
-	return run
-}
-
-// launchMigrate queues a migration plan on the session worker, so it runs
-// in submission order with the session's baselines and updates (never
-// concurrently with them — migration steps and updates mutate the same
-// verifier). fn executes the plan; abandon is invoked instead if the
-// session is deleted while the plan is still queued. Returns nil if the
-// session is already deleted (the caller keeps ownership of the plan's
-// reservation and event stream).
-func (sess *session) launchMigrate(fn func() (*migrate.Result, error), abandon func()) *sessionRun {
-	sess.mu.Lock()
-	if sess.closed {
-		sess.mu.Unlock()
-		return nil
-	}
-	run := &sessionRun{seq: len(sess.runs), submitted: time.Now(), migrate: true, status: "running"}
-	sess.runs = append(sess.runs, run)
-	sess.queue = append(sess.queue, &queuedRun{run: run, migrateFn: fn, abandon: abandon})
-	sess.lastActive = time.Now()
-	sess.mu.Unlock()
-	select {
-	case sess.wake <- struct{}{}:
-	default:
-	}
-	return run
-}
-
-// close marks the session deleted and releases its worker. Queued runs are
-// abandoned; a queued migration plan's abandon hook releases its
-// reservation and closes its event stream. The queue is swapped out under
-// sess.mu — the worker dequeues under the same lock, so an entry is either
-// abandoned here or executed there, never both.
-func (sess *session) close() {
-	sess.mu.Lock()
-	sess.closed = true
-	abandoned := sess.queue
-	sess.queue = nil
-	sess.mu.Unlock()
-	for _, q := range abandoned {
-		if q.abandon != nil {
-			q.abandon()
-		}
-	}
-	select {
-	case sess.wake <- struct{}{}:
-	default:
-	}
-}
-
-// worker drains the session's run queue until the session is deleted.
-func (sess *session) worker() {
-	for range sess.wake {
-		for {
-			sess.mu.Lock()
-			if sess.closed {
-				sess.mu.Unlock()
-				return
-			}
-			if len(sess.queue) == 0 {
-				sess.mu.Unlock()
-				break
-			}
-			q := sess.queue[0]
-			sess.queue = sess.queue[1:]
-			sess.running++
-			sess.mu.Unlock()
-
-			if q.migrateFn != nil {
-				mres, err := q.migrateFn()
-				sess.mu.Lock()
-				q.run.migrateResult = mres
-				if err != nil {
-					q.run.status = "failed"
-					q.run.errMsg = err.Error()
-					// The rollback to the original baseline may itself have
-					// failed; the pinned state is unknown, so no stored
-					// source may claim to match it.
-					sess.srcFP = ""
-				} else {
-					q.run.status = "done"
-					if mres.OK {
-						// The final migrated state is the session's new
-						// baseline: re-pin its source identity ("" when it is
-						// mutation-derived and corresponds to no stored
-						// config source) so the no-op fast path stays sound.
-						sess.srcFP = mres.FinalSourceFP
-					}
-				}
-				sess.running--
-				sess.lastActive = time.Now()
-				sess.mu.Unlock()
-				continue
-			}
-
-			if sess.store != nil {
-				sess.store.SetFingerprint(q.network.Fingerprint())
-			}
-			var res *delta.Result
-			var err error
-			if q.baseline {
-				res, err = sess.verifier.Baseline(q.network)
-			} else {
-				res, err = sess.verifier.Update(q.network)
-			}
-			sess.mu.Lock()
-			if err != nil {
-				// Includes admission rejections: the run's dirty subset was
-				// reserved under the session's tenant and refused. The error
-				// (with its retry hint) is the run's recorded status.
-				q.run.status = "failed"
-				q.run.errMsg = err.Error()
-			} else {
-				q.run.status = "done"
-				q.run.result = res
-			}
-			sess.running--
-			sess.lastActive = time.Now()
-			sess.mu.Unlock()
-		}
-	}
-}
-
-// sessionJSON is the GET /v2/sessions/{id} response.
-type sessionJSON struct {
-	ID          string           `json:"id"`
-	Suite       string           `json:"suite"`
-	Tenant      string           `json:"tenant,omitempty"`
-	Created     time.Time        `json:"created"`
-	Fingerprint string           `json:"fingerprint,omitempty"` // pinned network state
-	Results     int              `json:"retained_results"`
-	Runs        []sessionRunJSON `json:"runs"`
-}
-
-type sessionRunJSON struct {
-	Seq       int             `json:"seq"`
-	Submitted time.Time       `json:"submitted"`
-	Baseline  bool            `json:"baseline"`
-	Migrate   bool            `json:"migrate,omitempty"`
-	Status    string          `json:"status"`
-	Error     string          `json:"error,omitempty"`
-	Result    *delta.Result   `json:"result,omitempty"`
-	Migration *migrate.Result `json:"migration,omitempty"`
-}
-
-func (s *server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookupSession(w, r)
-	if !ok {
-		return
-	}
-	out := sessionJSON{
-		ID:          sess.id,
-		Suite:       sess.label,
-		Tenant:      sess.tenant,
-		Created:     sess.created,
-		Fingerprint: sess.verifier.Fingerprint(),
-		Results:     sess.verifier.ResultCount(),
-	}
-	sess.mu.Lock()
-	for _, run := range sess.runs {
-		out.Runs = append(out.Runs, sessionRunJSON{
-			Seq:       run.seq,
-			Submitted: run.submitted,
-			Baseline:  run.baseline,
-			Migrate:   run.migrate,
-			Status:    run.status,
-			Error:     run.errMsg,
-			Result:    run.result,
-			Migration: run.migrateResult,
-		})
-	}
-	sess.mu.Unlock()
-	writeJSON(w, out)
-}
-
-func (s *server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	sess, ok := s.sessions[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such session")
-		return
-	}
-	if !sessionTenantAllowed(w, r, sess, "") { // DELETE has no body: header or ?tenant=
-		return
-	}
-	s.mu.Lock()
-	delete(s.sessions, sess.id)
-	s.mu.Unlock()
-	sess.close()
-	writeJSON(w, map[string]string{"deleted": sess.id})
-}
-
-// statsJSON is the GET /v1/stats response.
-type statsJSON struct {
-	Engine   engine.Stats `json:"engine"`
-	Jobs     int          `json:"jobs"`
-	Sessions int          `json:"sessions"`
-	Store    *store.Stats `json:"store,omitempty"`
-	// Fabric aggregates the distributed solver pools' per-worker counters;
-	// present whenever a remote backend has been constructed.
-	Fabric *fabric.Stats `json:"fabric,omitempty"`
-}
-
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	jobs, sessions := len(s.jobs), len(s.sessions)
-	s.mu.Unlock()
-	out := statsJSON{Engine: s.eng.Stats(), Jobs: jobs, Sessions: sessions, Fabric: fabric.Snapshot()}
-	if st, ok := s.eng.Cache().(*store.Store); ok {
-		stats := st.Stats()
-		out.Store = &stats
-	}
-	writeJSON(w, out)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
