@@ -222,10 +222,11 @@ func (s *server) admitTraced(w http.ResponseWriter, c *plan.Compiled, tr *teleme
 
 // accepted answers 202 with the job's URLs and trace ID, echoing the trace
 // in an X-Trace-Id header.
-func accepted(w http.ResponseWriter, j *serviceJob, urls map[string]string) {
-	body := map[string]string{"id": j.id}
-	for k, v := range urls {
-		body[k] = v
+func accepted(w http.ResponseWriter, j *serviceJob) {
+	body := map[string]string{
+		"id":         j.id,
+		"status_url": "/v2/jobs/" + j.id,
+		"events_url": "/v2/jobs/" + j.id + "/events",
 	}
 	if j.traceID != "" {
 		body["trace_id"] = j.traceID
@@ -269,10 +270,7 @@ func (s *server) handleVerifyV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := s.launchPlan(c, c.Label(), resv, tr)
-	accepted(w, j, map[string]string{
-		"status_url": "/v2/jobs/" + j.id,
-		"events_url": "/v2/jobs/" + j.id + "/events",
-	})
+	accepted(w, j)
 }
 
 type problemStatusJS struct {

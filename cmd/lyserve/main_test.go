@@ -435,8 +435,6 @@ func TestSessionIncrementalFlow(t *testing.T) {
 	}
 }
 
-// --- v2 plan API ---
-
 func postJSON(t *testing.T, url, body string) (*http.Response, map[string]any) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", bytes.NewBufferString(body))
@@ -606,9 +604,6 @@ func TestV2BadRequests(t *testing.T) {
 		{"bad-json", `{`, http.StatusBadRequest},
 		{"trailing-data", fig1Plan + ` {"properties": [{"name": "nope"}]}`, http.StatusBadRequest},
 		{"no-network", `{"properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
-		{"both-networks", `{"network": {"config": "x", "generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
-		{"bad-generator", `{"network": {"generator": {"kind": "torus"}}, "properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
-		{"bad-config", `{"network": {"config": "not a config"}, "properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
 		{"no-properties", `{"network": {"generator": {"kind": "fig1"}}}`, http.StatusBadRequest},
 		{"unknown-property", `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "nope"}]}`, http.StatusBadRequest},
 		{"unknown-router", `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit", "routers": ["bogus"]}]}`, http.StatusBadRequest},
@@ -625,6 +620,27 @@ func TestV2BadRequests(t *testing.T) {
 			// The rejection must happen at the API boundary — before any
 			// filesystem access — so the error names the field, not the file.
 			t.Errorf("config_path rejection should not touch the filesystem: %q", out["error"])
+		}
+	}
+}
+
+// TestBadRequests exercises the error contract for a plan's network source
+// and for unknown jobs.
+func TestBadRequests(t *testing.T) {
+	ts := newTestServer(t)
+	cases := []struct {
+		name string
+		body string
+		want int
+	}{
+		{"both-networks", `{"network": {"config": "x", "generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
+		{"bad-generator", `{"network": {"generator": {"kind": "torus"}}, "properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
+		{"bad-config", `{"network": {"config": "not a config"}, "properties": [{"name": "fig1-no-transit"}]}`, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		resp, _ := postJSON(t, ts.URL+"/v2/verify", c.body)
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
 		}
 	}
 
@@ -644,8 +660,10 @@ func TestV2BadRequests(t *testing.T) {
 func TestRetiredV1RoutesAnswer404(t *testing.T) {
 	ts := newTestServer(t)
 	job := postVerify(t, ts, fig1Plan)
+	waitDone(t, ts, job)
 	_, created := postJSON(t, ts.URL+"/v2/sessions", fig1Plan)
 	sess, _ := created["id"].(string)
+	waitRunDone(t, ts, sess, 0)
 	for _, route := range []struct{ method, path string }{
 		{http.MethodPost, "/v1/verify"},
 		{http.MethodGet, "/v1/jobs/" + job},
@@ -683,6 +701,8 @@ func TestRequestBodyTooLarge(t *testing.T) {
 	// Session update decode sites, against a real session.
 	_, accepted := postJSON(t, ts.URL+"/v2/sessions", fig1Plan)
 	id := accepted["id"].(string)
+	// Let the baseline finish, so no run is in flight when the engine closes.
+	waitRunDone(t, ts, id, 0)
 	for _, url := range []string{"/v2/sessions/" + id + "/update", "/v2/sessions/" + id + "/migrate"} {
 		resp, _ := postJSON(t, ts.URL+url, huge)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -797,6 +817,8 @@ func TestSessionUpdateAmbiguousSourceRejected(t *testing.T) {
 	ts := newTestServer(t)
 	_, accepted := postJSON(t, ts.URL+"/v2/sessions", fig1Plan)
 	id := accepted["id"].(string)
+	// Let the baseline finish, so no run is in flight when the engine closes.
+	waitRunDone(t, ts, id, 0)
 	ambiguous := fmt.Sprintf(`{"config": %q, "generator": {"kind": "fig1"}}`,
 		netgen.Fig1DSL(netgen.Fig1Options{}))
 	// Update bodies nest the source under "network"; a flat body names no
