@@ -10,7 +10,6 @@
 //	lightyear -config new.cfg -diff old.cfg -property wan-peering      # incremental re-verification
 //	lightyear -config net.cfg -store DIR                               # persistent result store
 //	lightyear -config net.cfg -solver portfolio                        # race solver heuristics per check
-//	lightyear -config net.cfg -solver tiered:1000                      # small budget first, escalate on Unknown
 //	lightyear -config net.cfg -solver remote:h1:9101,h2:9101           # ship checks to a lyworker fleet
 //	lightyear -config net.cfg -tenant ops -max-inflight 500            # tenancy + admission control
 //	lightyear -plan plan.json                                          # run a saved verification plan
@@ -53,8 +52,6 @@
 //	             report UNKNOWN)
 //	portfolio    race heuristic variants of the solver per check, first
 //	             verdict wins, losers cancelled
-//	tiered       solve with a small conflict budget first (default 2048, or
-//	             the given budget), escalate to unlimited on Unknown
 //
 // With -corpus the network source is a scenario-corpus member reference
 // (internal/corpus): family:seed plus optional knobs, deterministically
@@ -441,7 +438,7 @@ func main() {
 	flag.IntVar(&f.Cache, "cache", 0, "engine result-cache capacity (0 = default, <0 disables; ignored with -store)")
 	flag.StringVar(&f.Store, "store", "", "persistent result-store directory (replaces the in-memory cache)")
 	flag.IntVar(&f.StoreRetain, "store-retain", 0, "keep only the N most recently written network fingerprints in the store (0 = all)")
-	flag.StringVar(&f.Solver, "solver", "", "solver backend: native, portfolio, or tiered as backend[:budget], or remote:host1,host2 for a worker fleet")
+	flag.StringVar(&f.Solver, "solver", "", "solver backend: native or portfolio as backend[:budget], or remote:host1,host2 for a worker fleet")
 	flag.IntVar(&f.WANRegions, "wan-regions", 3, "region count assumed for WAN properties")
 	flag.StringVar(&f.Tenant, "tenant", "", "tenant the run is admitted and accounted under")
 	flag.IntVar(&f.MaxInflight, "max-inflight", 0, "admission: max in-flight checks on the engine (0 = unlimited)")
@@ -696,9 +693,6 @@ func printEngineSummary(est engine.Stats) {
 		extra := ""
 		if bs.Raced > 0 {
 			extra += fmt.Sprintf(", %d variants raced", bs.Raced)
-		}
-		if bs.Escalated > 0 {
-			extra += fmt.Sprintf(", %d escalated", bs.Escalated)
 		}
 		if bs.Unknown > 0 {
 			extra += fmt.Sprintf(", %d unknown", bs.Unknown)

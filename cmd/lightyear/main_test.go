@@ -177,12 +177,12 @@ func TestBuildRequestSolverAndRegions(t *testing.T) {
 	f.ConfigPath = writeConfig(t)
 	f.Properties = "wan-ip-reuse"
 	f.Regions = "0, 2"
-	f.Solver = "tiered:500"
+	f.Solver = "portfolio:500"
 	req, err := buildRequest(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := req.Options.Solver; s == nil || s.Backend != "tiered" || s.Budget != 500 {
+	if s := req.Options.Solver; s == nil || s.Backend != "portfolio" || s.Budget != 500 {
 		t.Fatalf("solver spec = %+v", req.Options.Solver)
 	}
 	if len(req.Properties) != 1 || len(req.Properties[0].Regions) != 2 ||
@@ -190,11 +190,21 @@ func TestBuildRequestSolverAndRegions(t *testing.T) {
 		t.Fatalf("region scope = %+v", req.Properties)
 	}
 
-	f.Solver = "warp-drive"
-	if _, err := buildRequest(f); err == nil {
-		t.Fatal("unknown solver backend accepted")
-	} else if _, ok := err.(*usageError); !ok {
-		t.Fatalf("unknown solver backend: %v (%T), want usage error", err, err)
+	f.Solver = "native"
+	if req, err = buildRequest(f); err != nil {
+		t.Fatal(err)
+	} else if s := req.Options.Solver; s == nil || s.Backend != "native" || s.Budget != 0 {
+		t.Fatalf("solver spec = %+v", req.Options.Solver)
+	}
+
+	// tiered is a retired backend: rejected like any unknown name.
+	for _, bad := range []string{"warp-drive", "tiered", "tiered:500"} {
+		f.Solver = bad
+		if _, err := buildRequest(f); err == nil {
+			t.Fatalf("solver backend %q accepted", bad)
+		} else if _, ok := err.(*usageError); !ok {
+			t.Fatalf("solver backend %q: %v (%T), want usage error", bad, err, err)
+		}
 	}
 
 	f.Solver = ""

@@ -15,9 +15,6 @@
 //	-experiment delta     incremental re-verification: change size vs re-verify
 //	                      cost through internal/delta (the §2 incremental claim),
 //	                      driving a compiled plan as the problem source
-//	-experiment solver    solver-backend comparison: the wan-peering suite run
-//	                      cold under the native, portfolio, and tiered backends,
-//	                      with per-backend solve-time and routing stats
 //	-experiment admission multi-tenant admission sweep: tenant count × per-tenant
 //	                      quota, reporting p50/p99 queue wait and the rejection
 //	                      rate under the engine's weighted-fair dispatcher
@@ -42,10 +39,10 @@
 //	                      swap where exactly one order of six is safe
 //	-experiment all       everything above
 //
-// With -out FILE the wan, solver, shard, migrate, and corpus experiments
+// With -out FILE the wan, shard, migrate, and corpus experiments
 // additionally write a JSON benchmark document (BENCH_wan.json /
-// BENCH_solver.json / BENCH_corpus.json in this repo's committed
-// trajectory): completed checks per second, allocations per
+// BENCH_shard.json / BENCH_migrate.json / BENCH_corpus.json in this repo's
+// committed trajectory): completed checks per second, allocations per
 // check, p50/p99 solve-time and queue-wait quantiles derived from the
 // same internal/telemetry histograms lyserve exposes at /metrics, and the
 // solver-depth dimensions (mean CDCL conflicts and learned clauses per
@@ -94,14 +91,14 @@ func main() {
 		workers    = flag.Int("workers", 0, "parallel check workers (0 = GOMAXPROCS)")
 		seed       = flag.Int64("seed", 1, "base seed for seeded experiments (corpus roster, fuzz soak); recorded in every -out document")
 		members    = flag.Int("members", 0, "corpus: verify only the first N roster members (0 = all)")
-		out        = flag.String("out", "", "write a JSON benchmark document (wan, solver, shard, migrate, and corpus experiments)")
+		out        = flag.String("out", "", "write a JSON benchmark document (wan, shard, migrate, and corpus experiments)")
 	)
 	flag.Parse()
 	switch *experiment {
-	case "wan", "solver", "shard", "migrate", "corpus":
+	case "wan", "shard", "migrate", "corpus":
 	default:
 		if *out != "" {
-			fmt.Fprintf(os.Stderr, "lybench: -out is supported by the wan, solver, shard, migrate, and corpus experiments, not %q\n", *experiment)
+			fmt.Fprintf(os.Stderr, "lybench: -out is supported by the wan, shard, migrate, and corpus experiments, not %q\n", *experiment)
 			os.Exit(2)
 		}
 	}
@@ -132,8 +129,6 @@ func main() {
 		wanExperiment(*wanScale, *workers, *seed, *out)
 	case "delta":
 		deltaExperiment(*workers)
-	case "solver":
-		solverExperiment(*workers, *seed, *out)
 	case "admission":
 		admissionExperiment(*workers)
 	case "shard":
@@ -154,7 +149,6 @@ func main() {
 		fig3(parseSizes(*sizes), *msTimeout, *workers)
 		wanExperiment(*wanScale, *workers, *seed, "")
 		deltaExperiment(*workers)
-		solverExperiment(*workers, *seed, "")
 		admissionExperiment(*workers)
 		shardExperiment(*seed, "")
 		faults()
@@ -387,16 +381,10 @@ type benchDoc struct {
 }
 
 // benchQuantiles fills a row's solve and queue-wait quantiles from the
-// recorder's histograms. backend narrows the solve histogram to one
-// backend's series ("" aggregates all).
-func benchQuantiles(rec *telemetry.Recorder, backend string, row *benchRow) {
+// recorder's histograms, aggregated across backends.
+func benchQuantiles(rec *telemetry.Recorder, row *benchRow) {
 	solve := rec.Histogram("lightyear_solve_seconds", "", nil, "backend")
 	queue := rec.Histogram("lightyear_queue_wait_seconds", "", nil).With()
-	if backend != "" {
-		h := solve.With(backend)
-		row.SolveP50Seconds, row.SolveP99Seconds = h.Quantile(0.50), h.Quantile(0.99)
-		return
-	}
 	row.SolveP50Seconds, row.SolveP99Seconds = solve.Quantile(0.50), solve.Quantile(0.99)
 	row.QueueP50Seconds, row.QueueP99Seconds = queue.Quantile(0.50), queue.Quantile(0.99)
 }
@@ -567,7 +555,7 @@ func wanExperiment(scale string, workers int, seed int64, out string) {
 			depth.Add(bs.Solver)
 		}
 		doc.benchDepth(depth, st.ChecksSolved)
-		benchQuantiles(rec, "", &doc.benchRow)
+		benchQuantiles(rec, &doc.benchRow)
 		writeBench(out, doc)
 	}
 }
@@ -635,83 +623,6 @@ func deltaExperiment(workers int) {
 	}
 	fmt.Println("(expected shape: dirty checks and solve work grow with the change size,")
 	fmt.Println(" not the network; a 0-router change reuses every retained result.)")
-}
-
-// solverExperiment compares the solver backends on the wan-peering suite:
-// the same compiled plan runs cold on a fresh engine per backend, so every
-// row pays identical check-generation work and the rows differ only in how
-// obligations are decided — one native solve, a heuristic-variant race
-// (portfolio), or budget-tiered escalation (tiered).
-func solverExperiment(workers int, seed int64, out string) {
-	header("solver: backend comparison on wan-peering")
-	p := netgen.WANParams{Regions: 3, RoutersPerRegion: 2, EdgeRouters: 6, DCsPerRegion: 1, PeersPerEdge: 2}
-	req := plan.Request{
-		Network:    plan.Network{Generator: wanSpec(p)},
-		Properties: []plan.Property{{Name: "wan-peering"}},
-		Options:    plan.Options{WANRegions: p.Regions},
-	}
-	// One recorder across the per-backend engines: the solve histogram is
-	// partitioned by backend label, so per-row quantiles stay exact while
-	// the queue-wait histogram aggregates the whole experiment.
-	rec := telemetry.New(0)
-	var rows []benchRow
-	var doc benchDoc
-	var totalAllocs uint64
-	var totalDepth core.SolveStats
-	var totalSolved uint64
-	fmt.Printf("%-10s | %8s %8s %8s %8s %8s | %10s %10s\n",
-		"backend", "checks", "solved", "unknown", "raced", "escal", "solve", "wall")
-	for _, name := range solver.Names() {
-		if name == solver.RemoteName {
-			// A bare remote spec has no worker fleet to ship to; the shard
-			// experiment measures that backend against a real fleet.
-			continue
-		}
-		r := req
-		r.Options.Solver = &solver.Spec{Backend: name}
-		c, err := plan.Compile(r, nil)
-		if err != nil {
-			fatal(err)
-		}
-		eng := engine.New(engine.Options{Workers: workers, Telemetry: rec})
-		alloc0 := mallocs()
-		t0 := time.Now()
-		res, err := plan.Run(eng, c, plan.RunConfig{})
-		wall := time.Since(t0)
-		allocs := mallocs() - alloc0
-		eng.Close()
-		if err != nil {
-			fatal(err)
-		}
-		if !res.OK {
-			fmt.Printf("  unexpected failure under backend %s\n", name)
-		}
-		st := res.Properties[0].Stats
-		fmt.Printf("%-10s | %8d %8d %8d %8d %8d | %10v %10v\n",
-			name, st.Checks, st.Solved, st.Unknown, st.Raced, st.Escalated,
-			time.Duration(st.SolveNanos).Round(time.Microsecond), wall.Round(time.Millisecond))
-		row := benchRow{Name: name, Checks: uint64(st.Checks), ElapsedSeconds: wall.Seconds()}
-		row.benchRate(allocs)
-		row.benchDepth(st.Solver, uint64(st.Solved))
-		benchQuantiles(rec, name, &row)
-		rows = append(rows, row)
-		doc.Checks += row.Checks
-		doc.ElapsedSeconds += row.ElapsedSeconds
-		totalAllocs += allocs
-		totalDepth.Add(st.Solver)
-		totalSolved += uint64(st.Solved)
-	}
-	if out != "" {
-		doc.Experiment, doc.Workers, doc.Rows = "solver", workers, rows
-		doc.Seed, doc.Scenarios = seed, len(rows)
-		doc.benchRate(totalAllocs)
-		doc.benchDepth(totalDepth, totalSolved)
-		benchQuantiles(rec, "", &doc.benchRow)
-		writeBench(out, doc)
-	}
-	fmt.Println("(tiered matches native when every check fits the quick tier — escalations")
-	fmt.Println(" would appear in 'escal'; portfolio trades CPU for per-check latency")
-	fmt.Println(" robustness, racing variants and cancelling the losers.)")
 }
 
 // admissionExperiment sweeps tenant count × per-tenant quota on one shared

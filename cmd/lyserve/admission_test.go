@@ -46,8 +46,8 @@ func TestAdmission429AndRetryAfter(t *testing.T) {
 	}
 	eng := engine.New(engine.Options{Workers: 4,
 		Admission: engine.Admission{MaxInFlightChecks: smallCost}})
-	t.Cleanup(eng.Close)
 	srv := newServer(eng)
+	t.Cleanup(srv.closeEngine)
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
 

@@ -32,8 +32,9 @@ func getHealthJSON(t *testing.T, url string) (int, map[string]any) {
 // ran it, alongside identity, readiness, and trace-ring occupancy.
 func TestHealthAndStatus(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 4, Telemetry: telemetry.New(0)})
-	t.Cleanup(eng.Close)
-	ts := httptest.NewServer(newServer(eng).routes())
+	srv := newServer(eng)
+	t.Cleanup(srv.closeEngine)
+	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
 
 	code, body := getHealthJSON(t, ts.URL+"/healthz")
@@ -111,8 +112,8 @@ func TestReadyzStoreUnwritable(t *testing.T) {
 	}
 	t.Cleanup(func() { st.Close() })
 	eng := engine.New(engine.Options{Workers: 1, Cache: st})
-	t.Cleanup(eng.Close)
 	srv := newServer(eng)
+	t.Cleanup(srv.closeEngine)
 	srv.store = st
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)

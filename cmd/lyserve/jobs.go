@@ -52,7 +52,6 @@ type problemState struct {
 	skipReason string // reason for skipped or failed
 	report     *engine.ReportJSON
 	stats      *engine.JobStats
-	ok         bool
 }
 
 // doneAt reports whether the job has completed and when.
@@ -66,9 +65,9 @@ func (j *serviceJob) doneAt() (bool, time.Time) {
 // resv, which the run takes ownership of — and starts it on the shared
 // engine. tr is the trace the handler opened for the request (nil without
 // a recorder); the run records into it and finishes it.
-func (s *server) launchPlan(c *plan.Compiled, label string, resv *engine.Reservation, tr *telemetry.Trace) *serviceJob {
+func (s *server) launchPlan(c *plan.Compiled, resv *engine.Reservation, tr *telemetry.Trace) *serviceJob {
 	j := &serviceJob{
-		label:   label,
+		label:   c.Label(),
 		tenant:  engine.NormalizeTenant(c.Tenant()),
 		cost:    c.Cost(),
 		traceID: tr.ID(),
@@ -132,9 +131,6 @@ func (j *serviceJob) handleEvent(ev plan.Event) {
 				ps.completed, ps.total = ev.Completed, ev.Total
 			case "problem":
 				ps.skipped, ps.failed, ps.skipReason = ev.Skipped, ev.Failed, ev.Reason
-				if ev.OK != nil {
-					ps.ok = *ev.OK
-				}
 				if ev.Stats != nil {
 					ps.stats = ev.Stats
 					ps.completed, ps.total = ev.Stats.Checks, ev.Stats.Checks
@@ -269,7 +265,7 @@ func (s *server) handleVerifyV2(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	j := s.launchPlan(c, c.Label(), resv, tr)
+	j := s.launchPlan(c, resv, tr)
 	accepted(w, j)
 }
 

@@ -69,10 +69,10 @@
 //	    Returns 202 with {"id", "status_url", "events_url"}. All properties
 //	    run as one plan on the shared engine, so checks shared across
 //	    properties are solved once. The optional "solver" option routes the
-//	    request's checks to a solver backend ("native", "portfolio", or
-//	    "tiered", optionally with a conflict "budget") — a per-job routing
-//	    decision on the shared engine, so concurrent tenants may use
-//	    different backends. Checks whose budget ran out report status
+//	    request's checks to a solver backend ("native" or "portfolio",
+//	    optionally with a conflict "budget") — a per-job routing decision
+//	    on the shared engine, so concurrent tenants may use different
+//	    backends. Checks whose budget ran out report status
 //	    "unknown", distinct from "fail".
 //
 //	GET /v2/jobs/{id}
@@ -138,8 +138,8 @@
 //
 //	GET /v1/stats
 //	    Engine counters (including per-solver-backend counters: solved,
-//	    unknown, variants raced, tiered escalations, solve time), job and
-//	    session counts, and — with -store — persistent-store counters.
+//	    unknown, variants raced, solve time), job and session counts, and —
+//	    with -store — persistent-store counters.
 //
 //	GET /metrics
 //	    Prometheus text exposition (version 0.0.4): lightyear_* counters,
@@ -236,7 +236,7 @@ func main() {
 		weightsSpec = flag.String("tenant-weights", "", "per-tenant dispatch weights, e.g. t1=3,t2=1 (unlisted tenants weigh 1)")
 		traceCap    = flag.Int("trace-cap", 0, "completed traces retained for /v1/traces (0 = default)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		solverSpec  = flag.String("solver", "", "default solver backend: native, portfolio, or tiered as backend[:budget], or remote:host1,host2 for a worker fleet")
+		solverSpec  = flag.String("solver", "", "default solver backend: native or portfolio as backend[:budget], or remote:host1,host2 for a worker fleet")
 		slowConf    = flag.Int64("slow-conflicts", 0, "log any check burning at least this many CDCL conflicts (0 = default, <0 disables)")
 		slowTime    = flag.Duration("slow-solve", 0, "log any check spending at least this long in the solver (0 = default, <0 disables)")
 		grace       = flag.Duration("shutdown-grace", defaultShutdownGrace, "max wait for in-flight requests to drain on SIGINT/SIGTERM")
@@ -327,8 +327,8 @@ func main() {
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting connections, wake
 	// every NDJSON event stream so it flushes and closes, wait up to the
-	// grace period for in-flight requests, then close the engine (draining
-	// admitted jobs) and flush the store journal.
+	// grace period for in-flight requests, then close the sessions and the
+	// engine (draining admitted jobs) and flush the store journal.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	select {
@@ -345,7 +345,7 @@ func main() {
 	if err := httpSrv.Shutdown(sctx); err != nil {
 		srvLog.Warn("shutdown grace period expired with requests in flight", slog.Any("error", err))
 	}
-	eng.Close()
+	srv.closeEngine()
 	if st != nil {
 		if err := st.Close(); err != nil {
 			srvLog.Warn("store close failed", slog.Any("error", err))
@@ -376,6 +376,9 @@ type server struct {
 	jobs     map[string]*serviceJob
 	sseq     int
 	sessions map[string]*session
+	// sessionWorkers counts running session workers; Add happens under mu
+	// before shutdown, so closeEngine's Wait sees every one.
+	sessionWorkers sync.WaitGroup
 }
 
 func newServer(eng *engine.Engine) *server {
@@ -396,6 +399,26 @@ func newServer(eng *engine.Engine) *server {
 // process is draining. Safe to call more than once.
 func (s *server) beginShutdown() {
 	s.shutdownOnce.Do(func() { close(s.shutdown) })
+}
+
+// closeEngine closes every session, abandoning its queued runs, waits for
+// each session worker — deleted and expired sessions' too — to finish the
+// run it is executing and return, and only then closes the engine. Closing
+// the engine first would let a worker start its next queued run on a
+// closed engine, which panics.
+func (s *server) closeEngine() {
+	s.beginShutdown() // createSession starts no worker from here on
+	s.mu.Lock()
+	sessions := make([]*session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		sessions = append(sessions, sess)
+	}
+	s.mu.Unlock()
+	for _, sess := range sessions {
+		sess.close()
+	}
+	s.sessionWorkers.Wait()
+	s.eng.Close()
 }
 
 // requestTenant resolves the tenant a request runs as: the X-Tenant

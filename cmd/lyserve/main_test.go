@@ -19,8 +19,9 @@ import (
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	eng := engine.New(engine.Options{Workers: 4})
-	t.Cleanup(eng.Close)
-	ts := httptest.NewServer(newServer(eng).routes())
+	srv := newServer(eng)
+	t.Cleanup(srv.closeEngine)
+	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -216,8 +217,8 @@ func TestNonOptionalLivenessFailureFailsJob(t *testing.T) {
 func newTestServerWithState(t *testing.T) (*httptest.Server, *server) {
 	t.Helper()
 	eng := engine.New(engine.Options{Workers: 4})
-	t.Cleanup(eng.Close)
 	srv := newServer(eng)
+	t.Cleanup(srv.closeEngine)
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
 	return ts, srv
@@ -828,5 +829,54 @@ func TestSessionUpdateAmbiguousSourceRejected(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("update with ambiguous network %.40s... = %d (%v), want 400", body, resp.StatusCode, out)
 		}
+	}
+}
+
+// TestCloseEngineDrainsSessionWorkers: shutting down with updates queued
+// behind a session's running baseline abandons the queued runs and closes
+// the engine only after the session worker has returned. Closing the
+// engine first lets the worker start the next queued update on a closed
+// engine, which panics ("engine: Reserve after Close").
+func TestCloseEngineDrainsSessionWorkers(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 2})
+	srv := newServer(eng)
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+
+	network := `{"generator": {"kind": "wan"}}`
+	resp, created := postJSON(t, ts.URL+"/v2/sessions",
+		`{"network": `+network+`, "properties": [{"name": "wan-peering"}]}`)
+	id, _ := created["id"].(string)
+	if resp.StatusCode != http.StatusAccepted || id == "" {
+		t.Fatalf("POST /v2/sessions = %d %v, want 202 with an id", resp.StatusCode, created)
+	}
+	const updates = 4
+	for i := 0; i < updates; i++ {
+		resp, body := postJSON(t, ts.URL+"/v2/sessions/"+id+"/update", `{"network": `+network+`}`)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("update %d = %d %v, want 202", i, resp.StatusCode, body)
+		}
+	}
+	st := getSession(t, ts, id)
+	if len(st.Runs) != updates+1 || st.Runs[updates].Status != "running" {
+		t.Fatalf("updates not queued behind the baseline: %+v", st.Runs)
+	}
+
+	srv.closeEngine()
+	// closeEngine returns only after the workers did; waiting again makes a
+	// worker that outlived the engine reach its next queued run here, in
+	// the test, rather than after the test binary exits.
+	srv.sessionWorkers.Wait()
+	if eng.Live() {
+		t.Fatal("engine still live after closeEngine")
+	}
+	abandoned := 0
+	for _, run := range getSession(t, ts, id).Runs[1:] {
+		if run.Status == "running" {
+			abandoned++
+		}
+	}
+	if abandoned == 0 {
+		t.Fatal("every queued update ran before shutdown; nothing was left to abandon")
 	}
 }

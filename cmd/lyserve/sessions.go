@@ -119,12 +119,25 @@ func (s *server) createSession(w http.ResponseWriter, c *plan.Compiled) {
 	// session: every incremental update's dirty subset is admitted under
 	// the session's tenant and solves on the backend the plan selected.
 	sess.verifier.SetWorkload(c.Workload())
-	go sess.worker()
 	s.mu.Lock()
+	select {
+	case <-s.shutdown:
+		// closeEngine may already be waiting on the session workers; a
+		// session started now would run its baseline on a closed engine.
+		s.mu.Unlock()
+		httpError(w, http.StatusServiceUnavailable, "server shutting down")
+		return
+	default:
+	}
 	s.sseq++
 	sess.id = fmt.Sprintf("session-%d", s.sseq)
 	s.sessions[sess.id] = sess
+	s.sessionWorkers.Add(1)
 	s.mu.Unlock()
+	go func() {
+		defer s.sessionWorkers.Done()
+		sess.worker()
+	}()
 
 	sess.launch(c.Network, true)
 
@@ -623,11 +636,8 @@ func (s *server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	sess, ok := s.sessions[r.PathValue("id")]
-	s.mu.Unlock()
+	sess, ok := s.lookupSession(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
 	if !sessionTenantAllowed(w, r, sess, "") { // DELETE has no body: header or ?tenant=

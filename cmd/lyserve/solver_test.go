@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"lightyear/internal/engine"
@@ -79,14 +80,23 @@ func TestV2UnknownStatusOverHTTP(t *testing.T) {
 		t.Fatalf("num_unknown=%d num_failed=%d, want >0 and 0", unknown, failed)
 	}
 
-	// An unknown backend name is a 400, not a wedged job.
-	resp, body := postJSON(t, ts.URL+"/v2/verify", `{
-		"network": {"generator": {"kind": "fig1"}},
-		"properties": [{"name": "sat-stress"}],
-		"options": {"solver": {"backend": "bogus"}}
-	}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown backend = %d (%v), want 400", resp.StatusCode, body)
+	// An unknown backend name — the retired tiered one included — is a 400
+	// naming the real backends, not a wedged job.
+	for _, name := range []string{"bogus", "tiered"} {
+		resp, body := postJSON(t, ts.URL+"/v2/verify", `{
+			"network": {"generator": {"kind": "fig1"}},
+			"properties": [{"name": "sat-stress"}],
+			"options": {"solver": {"backend": "`+name+`"}}
+		}`)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("backend %s = %d (%v), want 400", name, resp.StatusCode, body)
+		}
+		msg, _ := body["error"].(string)
+		for _, have := range []string{"native", "portfolio", "remote"} {
+			if !strings.Contains(msg, have) {
+				t.Errorf("backend %s rejection %q does not name %s", name, msg, have)
+			}
+		}
 	}
 }
 
@@ -95,8 +105,8 @@ func TestV2UnknownStatusOverHTTP(t *testing.T) {
 // ending with the plan event.
 func TestEventWindowTruncation(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 4})
-	t.Cleanup(eng.Close)
 	srv := newServer(eng)
+	t.Cleanup(srv.closeEngine)
 	srv.eventWindow = 8
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)

@@ -21,8 +21,9 @@ func newTelemetryTestServer(t *testing.T) (*httptest.Server, *telemetry.Recorder
 	t.Helper()
 	rec := telemetry.New(0)
 	eng := engine.New(engine.Options{Workers: 4, Telemetry: rec})
-	t.Cleanup(eng.Close)
-	ts := httptest.NewServer(newServer(eng).routes())
+	srv := newServer(eng)
+	t.Cleanup(srv.closeEngine)
+	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
 	return ts, rec
 }

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	lyworker -listen :9101 [-solver tiered:256] [-max-concurrent 8]
+//	lyworker -listen :9101 [-solver portfolio:256] [-max-concurrent 8]
 package main
 
 import (

@@ -70,29 +70,27 @@
 // involved, the pre/post predicates, and the polarity) with an Encode method
 // producing the violation formula in any smt.Context — and internal/solver
 // decides obligations through the solver.Backend interface
-// (Solve(ctx, obligation, budget) → outcome). Three backends ship:
+// (Solve(ctx, obligation, budget) → outcome). Two local backends ship:
 //
 //   - native: one in-process CDCL solve per obligation (the default);
 //   - portfolio: races heuristic variants of the solver (VSIDS vs static
 //     order, phase polarity, restarts) per obligation — the first verdict
-//     wins and the losers are cancelled via context;
-//   - tiered: a small conflict-budget attempt first, escalating to the full
-//     budget only on Unknown, so cheap checks stay cheap and hard ones
-//     still finish.
+//     wins and the losers are cancelled via context. It earns its CPU on
+//     search-heavy obligations: on the PHP(8,7) pigeonhole refutation the
+//     static-order variant needs 322 conflicts against VSIDS's 3459.
 //
 // Every check result carries an explicit Status — ok, fail, or unknown
 // (budget exhausted; not a refutation) — plus the backend label that
 // produced it, and the engine aggregates per-backend counters (solved,
-// unknown, variants raced, escalations, solve time). Unknown results are
+// unknown, variants raced, solve time). Unknown results are
 // never cached or retained, so a later run with a bigger budget re-solves
 // them. Choosing a backend is a per-request routing decision: the plan
 // option {"solver": {"backend": "portfolio", "budget": N}}, the CLI flag
-// `lightyear -solver tiered:1000`, or engine.SubmitOptions in the library;
-// `lightyear` exits 3 when a run fails only because of Unknown checks. The
-// sat-stress suite (registered like any property) plants pigeonhole
-// obligations that genuinely require search, for exercising budgets and
-// backends end-to-end; `lybench -experiment solver` compares the backends
-// on the WAN suites.
+// `lightyear -solver portfolio:1000`, or engine.SubmitOptions in the
+// library; `lightyear` exits 3 when a run fails only because of Unknown
+// checks. The sat-stress suite (registered like any property) plants
+// pigeonhole obligations that genuinely require search, for exercising
+// budgets and backends end-to-end.
 //
 // The result cache is a pluggable seam (engine.ResultCache): the default is
 // an in-memory LRU, and internal/store provides a disk-persistent

@@ -103,10 +103,9 @@
 // Backends: "native" (one in-process CDCL solve; add "budget": N to cap SAT
 // conflicts per check — checks that exceed it report status "unknown"
 // rather than a fake failure, and lightyear exits 3 on unknown-only runs),
-// "portfolio" (races heuristic variants per check, first verdict wins,
-// losers cancelled), and "tiered" (small conflict budget first — "budget"
-// overrides the 2048 default — escalating to unlimited on Unknown). The
-// same selection is `lightyear -solver portfolio` on the CLI. Submit one
+// and "portfolio" (races heuristic variants per check, first verdict
+// wins, losers cancelled; "budget" caps each variant). The same selection
+// is `lightyear -solver portfolio` on the CLI. Submit one
 // over HTTP and read the per-backend counters back:
 //
 //	curl -s localhost:8080/v2/verify -d '{

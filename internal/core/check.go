@@ -155,7 +155,7 @@ type CheckResult struct {
 	// OK == false; only StatusFail carries a real counterexample.
 	Status Status
 	// Backend labels the solver path that produced the verdict ("native",
-	// "portfolio/<variant>", "tiered/quick", ...). Empty for results
+	// "portfolio/<variant>", "remote(<worker>)/native", ...). Empty for results
 	// assembled outside a solver (e.g. replayed from a persistent store).
 	Backend        string
 	Counterexample *Counterexample
@@ -172,8 +172,7 @@ type CheckResult struct {
 }
 
 // SolveStats is the CDCL search provenance of one check: how hard the
-// solver worked, not just how long it took. For escalating backends
-// (tiered) the fields accumulate across tiers, mirroring SolveTime.
+// solver worked, not just how long it took.
 type SolveStats struct {
 	Conflicts    int64 `json:"conflicts"`
 	Decisions    int64 `json:"decisions"`
@@ -182,7 +181,7 @@ type SolveStats struct {
 	Learned      int64 `json:"learned"` // clauses learned during search
 }
 
-// Add accumulates o into s (used by escalating/aggregating consumers).
+// Add accumulates o into s (used by per-job and per-backend aggregates).
 func (s *SolveStats) Add(o SolveStats) {
 	s.Conflicts += o.Conflicts
 	s.Decisions += o.Decisions

@@ -131,14 +131,13 @@ func (o Options) workers() int {
 }
 
 // BackendStats aggregates the work one solver backend performed: how many
-// obligations it decided, how many it left Unknown, portfolio racing and
-// tiered escalation volume, and time inside the solver.
+// obligations it decided, how many it left Unknown, portfolio racing
+// volume, and time inside the solver.
 type BackendStats struct {
-	Solved     uint64 `json:"solved"`              // obligations routed to this backend
-	Unknown    uint64 `json:"unknown,omitempty"`   // of those, left undecided
-	Raced      uint64 `json:"raced,omitempty"`     // solver variants raced (portfolio)
-	Escalated  uint64 `json:"escalated,omitempty"` // quick-tier escalations (tiered)
-	SolveNanos int64  `json:"solve_ns"`            // summed solver time
+	Solved     uint64 `json:"solved"`            // obligations routed to this backend
+	Unknown    uint64 `json:"unknown,omitempty"` // of those, left undecided
+	Raced      uint64 `json:"raced,omitempty"`   // solver variants raced (portfolio)
+	SolveNanos int64  `json:"solve_ns"`          // summed solver time
 	// Solver sums the CDCL search provenance (conflicts, decisions,
 	// propagations, restarts, learned clauses) across this backend's solves
 	// — the depth dimension behind SolveNanos.
@@ -151,9 +150,6 @@ func (b *BackendStats) add(out solver.Outcome) {
 		b.Unknown++
 	}
 	b.Raced += uint64(out.Raced)
-	if out.Escalated {
-		b.Escalated++
-	}
 	b.SolveNanos += out.SolveTime.Nanoseconds()
 	b.Solver.Add(out.Solver)
 }
@@ -355,7 +351,7 @@ func (e *Engine) effectiveBudget(c core.Check) int64 {
 type SubmitOptions struct {
 	// Backend routes this job's obligations to a specific solver backend
 	// instead of the engine default — the hook plan requests use to select
-	// portfolio or tiered solving per request on a shared engine.
+	// portfolio solving per request on a shared engine.
 	Backend solver.Backend
 }
 

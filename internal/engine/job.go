@@ -47,8 +47,6 @@ type JobStats struct {
 	Unknown int `json:"unknown,omitempty"`
 	// Raced sums the portfolio variants raced across this job's solves.
 	Raced int `json:"raced,omitempty"`
-	// Escalated counts tiered quick-budget escalations.
-	Escalated int `json:"escalated,omitempty"`
 	// SolveNanos sums solver time across this job's own solves.
 	SolveNanos int64 `json:"solve_ns,omitempty"`
 	// Solver sums the CDCL search provenance across this job's own solves —
@@ -85,7 +83,6 @@ type Job struct {
 	solved     int
 	unknown    int
 	raced      int
-	escalated  int
 	solveNS    int64
 	depth      core.SolveStats // summed provenance of this job's own solves
 	dispatched time.Time       // when the dispatcher sent the first check
@@ -174,7 +171,7 @@ func (j *Job) Stats() JobStats {
 		Tenant: j.Tenant, Cost: j.Cost, QueueWaitNanos: wait,
 		Backend: j.backend.Name(),
 		Solved:  j.solved, Unknown: j.unknown,
-		Raced: j.raced, Escalated: j.escalated, SolveNanos: j.solveNS,
+		Raced: j.raced, SolveNanos: j.solveNS,
 		Solver: j.depth,
 	}
 }
@@ -198,9 +195,6 @@ func (j *Job) deliver(idx int, r core.CheckResult, cached, deduped bool, out *so
 	if out != nil {
 		j.solved++
 		j.raced += out.Raced
-		if out.Escalated {
-			j.escalated++
-		}
 		j.solveNS += out.SolveTime.Nanoseconds()
 		j.depth.Add(out.Solver)
 	}

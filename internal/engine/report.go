@@ -26,7 +26,8 @@ type CheckResultJSON struct {
 	// up (budget exhausted) without refuting the check.
 	Status string `json:"status"`
 	// Backend labels the solver path that decided the check (e.g. "native",
-	// "portfolio/pos-phase", "tiered/full"); empty for replayed results.
+	// "portfolio/pos-phase", "remote(host:port)/native"); empty for replayed
+	// results.
 	Backend  string `json:"backend,omitempty"`
 	NumVars  int    `json:"num_vars"`
 	NumCons  int    `json:"num_cons"`

@@ -30,7 +30,6 @@ type engineMetrics struct {
 	dedupHit     *telemetry.Counter    // pre-resolved kind=dedup
 	rejections   *telemetry.CounterVec // tenant, reason
 	raced        *telemetry.CounterVec // backend
-	escalations  *telemetry.CounterVec // backend
 }
 
 // newEngineMetrics registers the engine's metric families on rec (nil rec
@@ -69,8 +68,6 @@ func newEngineMetrics(rec *telemetry.Recorder, e *Engine) *engineMetrics {
 		"tenant", "reason")
 	m.raced = rec.Counter("lightyear_portfolio_raced_total",
 		"Solver variants raced by the portfolio backend.", "backend")
-	m.escalations = rec.Counter("lightyear_tiered_escalations_total",
-		"Tiered-backend solves that exhausted the quick budget and escalated.", "backend")
 
 	rec.GaugeFunc("lightyear_inflight_cost",
 		"Admitted check cost not yet completed or released.", nil,
@@ -126,9 +123,6 @@ func (m *engineMetrics) solveDone(backend string, out solver.Outcome) {
 	m.clauses.With(backend).Observe(float64(out.NumCons))
 	if out.Raced > 0 {
 		m.raced.With(backend).Add(uint64(out.Raced))
-	}
-	if out.Escalated {
-		m.escalations.With(backend).Inc()
 	}
 }
 

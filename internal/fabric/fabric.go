@@ -371,7 +371,6 @@ func (r *Remote) solveOn(ctx context.Context, w *worker, ob *core.Obligation, wi
 
 	out.CheckResult = cr
 	out.Raced = sr.Raced
-	out.Escalated = sr.Escalated
 	return out, nil
 }
 

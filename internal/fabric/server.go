@@ -24,9 +24,8 @@ type SolveRequest struct {
 // SolveResponse is the worker→coordinator reply: the wire-form result plus
 // the backend routing metadata solver.Outcome carries.
 type SolveResponse struct {
-	Result    *core.CheckResultWire `json:"result"`
-	Raced     int                   `json:"raced,omitempty"`
-	Escalated bool                  `json:"escalated,omitempty"`
+	Result *core.CheckResultWire `json:"result"`
+	Raced  int                   `json:"raced,omitempty"`
 	// Worker is the responding worker's self-reported name, echoed into
 	// trace spans and provenance labels.
 	Worker string `json:"worker,omitempty"`
@@ -189,10 +188,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := SolveResponse{
-		Result:    core.EncodeCheckResult(out.CheckResult),
-		Raced:     out.Raced,
-		Escalated: out.Escalated,
-		Worker:    s.name,
+		Result: core.EncodeCheckResult(out.CheckResult),
+		Raced:  out.Raced,
+		Worker: s.name,
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)

@@ -12,8 +12,8 @@ import (
 // This file is the sat-stress suite: adversarial solver load for the
 // pluggable backend layer (internal/solver). Every route-map check the other
 // suites generate is decided by unit propagation alone — the source of the
-// paper's scalability, but useless for exercising conflict budgets, tiered
-// escalation, or portfolio racing. The stress suite plants obligations whose
+// paper's scalability, but useless for exercising conflict budgets or
+// portfolio racing. The stress suite plants obligations whose
 // refutation genuinely requires CDCL search: propositional pigeonhole
 // instances encoded over community atoms, attached as the final implication
 // check of an otherwise-trivial safety problem. The network is whatever the

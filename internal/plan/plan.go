@@ -106,7 +106,8 @@ type Options struct {
 	// region count, or the netgen default of 3).
 	WANRegions int `json:"wan_regions,omitempty"`
 	// Solver selects the solver backend the request's checks are routed to
-	// ({"backend": "native"|"portfolio"|"tiered", "budget": N}); nil means
+	// ({"backend": "native"|"portfolio", "budget": N}, or "remote" with
+	// "workers"); nil means
 	// the engine default. Honored by every host, including lyserve's shared
 	// engine (the backend is a per-job routing decision, not an engine
 	// rebuild).

@@ -313,7 +313,6 @@ func Run(eng *engine.Engine, c *Compiled, cfg RunConfig) (*Result, error) {
 				pr.Stats.Solved += out.Stats.Solved
 				pr.Stats.Unknown += out.Stats.Unknown
 				pr.Stats.Raced += out.Stats.Raced
-				pr.Stats.Escalated += out.Stats.Escalated
 				pr.Stats.SolveNanos += out.Stats.SolveNanos
 				pr.Stats.Solver.Add(out.Stats.Solver)
 				pr.Stats.Backend = out.Stats.Backend // one backend per plan

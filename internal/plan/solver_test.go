@@ -2,6 +2,7 @@ package plan
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"lightyear/internal/engine"
@@ -25,12 +26,25 @@ func TestSolverSpecValidation(t *testing.T) {
 	if err == nil || !errors.As(err, &reqErr) {
 		t.Fatalf("unknown backend: err = %v, want RequestError", err)
 	}
-	if err := stressRequest(&solver.Spec{Backend: "portfolio"}).Validate(); err != nil {
-		t.Fatalf("portfolio spec rejected: %v", err)
+	for _, spec := range []solver.Spec{{Backend: "portfolio", Budget: 500}, {Backend: "native"}} {
+		if err := stressRequest(&spec).Validate(); err != nil {
+			t.Fatalf("%s spec rejected: %v", spec, err)
+		}
 	}
-	err = stressRequest(&solver.Spec{Backend: "tiered", Budget: -100}).Validate()
+	err = stressRequest(&solver.Spec{Backend: "native", Budget: -100}).Validate()
 	if err == nil || !errors.As(err, &reqErr) {
 		t.Fatalf("negative budget: err = %v, want RequestError", err)
+	}
+	// The retired tiered backend is an unknown backend like any other, and
+	// the error names the ones that remain.
+	err = stressRequest(&solver.Spec{Backend: "tiered"}).Validate()
+	if err == nil || !errors.As(err, &reqErr) {
+		t.Fatalf("tiered backend: err = %v, want RequestError", err)
+	}
+	for _, name := range []string{"native", "portfolio", "remote"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("tiered rejection %q does not name %s", err, name)
+		}
 	}
 }
 

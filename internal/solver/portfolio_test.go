@@ -105,6 +105,51 @@ func TestPortfolioRealRace(t *testing.T) {
 	}
 }
 
+// pigeonholeObligation returns the search-heavy implication check of the
+// PHP(holes+1, holes) stress problem on the default WAN — the obligation the
+// sat-pigeonhole workload's tail solves.
+func pigeonholeObligation(t *testing.T, holes int) *core.Obligation {
+	t.Helper()
+	n := netgen.WAN(netgen.DefaultWANParams(), netgen.WANBugs{})
+	p := netgen.StressProblemAt(n, n.Routers()[0], holes)
+	for _, c := range p.Checks(core.Options{}) {
+		if ob := c.Obligation(); ob.Kind == core.ImplicationCheck && !ob.Concrete() {
+			return ob
+		}
+	}
+	t.Fatal("no implication obligation in the stress problem")
+	return nil
+}
+
+// TestPortfolioPigeonholeWin pins the portfolio's reason to exist: on the
+// PHP(8,7) refutation some default variant needs at most a fifth of the
+// stock (vsids) variant's conflicts, so racing them beats a native solve.
+// Conflict counts are deterministic, unlike wall time. If this fails, the
+// variants no longer diverge on hard instances and the backend should go.
+func TestPortfolioPigeonholeWin(t *testing.T) {
+	ob := pigeonholeObligation(t, 7)
+	p := newPortfolio(0, DefaultVariants())
+	conflicts := map[string]int64{}
+	fewest := "vsids"
+	for _, v := range p.variants {
+		r := ob.Solve(context.Background(), p.config(v, Budget{}))
+		if r.Status != core.StatusOK {
+			t.Fatalf("variant %s: status %v, want ok", v.Name, r.Status)
+		}
+		conflicts[v.Name] = r.Solver.Conflicts
+		if r.Solver.Conflicts < conflicts[fewest] {
+			fewest = v.Name
+		}
+	}
+	t.Logf("conflicts per variant: %v", conflicts)
+	if stock := conflicts["vsids"]; stock == 0 || 5*conflicts[fewest] > stock {
+		t.Fatalf("fewest conflicts %s=%d, want at most 1/5 of vsids=%d", fewest, conflicts[fewest], stock)
+	}
+	if out := Portfolio(0).Solve(context.Background(), ob, Budget{}); out.Status != core.StatusOK {
+		t.Fatalf("portfolio decided %v, want ok", out.Status)
+	}
+}
+
 // TestSolveCancelledContextIsUnknown: an already-cancelled context yields
 // StatusUnknown deterministically (the solve is skipped entirely).
 func TestSolveCancelledContextIsUnknown(t *testing.T) {

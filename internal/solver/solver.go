@@ -5,16 +5,17 @@
 //
 // The paper's local checks are independent SAT queries, which makes the
 // solver the natural scaling seam — the same modularity-for-scale move the
-// paper makes at the network layer. Three backends ship:
+// paper makes at the network layer. Two local backends ship:
 //
 //   - native: one in-process CDCL solve per obligation (the classic path);
 //   - portfolio: races N heuristic variants of the native solver (VSIDS vs
 //     static order, phase polarity, restarts on/off) and takes the first
 //     verdict, cancelling the losers via context — robust against a single
-//     heuristic stalling on an adversarial instance;
-//   - tiered: a small conflict-budget attempt first, escalating to the full
-//     budget only on Unknown — cheap checks stay cheap, hard checks still
-//     finish, and the quick tier bounds tail latency for the common case.
+//     heuristic stalling on an adversarial instance (on pigeonhole
+//     refutations the static-order variant needs a tenth of VSIDS's
+//     conflicts).
+//
+// The remote backend (internal/fabric) ships obligations to a worker fleet.
 //
 // Backends are selected by name through Spec (the JSON form used by plan
 // requests, the lightyear -solver flag, and lyserve), or constructed
@@ -49,16 +50,13 @@ type Outcome struct {
 	// Raced is the number of solver variants raced for this obligation
 	// (portfolio; 0 or 1 elsewhere).
 	Raced int
-	// Escalated reports that a tiered solve exhausted its quick budget and
-	// re-solved at full budget.
-	Escalated bool
 }
 
 // Backend decides obligations. Implementations must be safe for concurrent
 // use and must honor ctx cancellation: a cancelled solve returns an Outcome
 // with StatusUnknown rather than blocking.
 type Backend interface {
-	// Name is the backend's registry name ("native", "portfolio", "tiered").
+	// Name is the backend's registry name ("native", "portfolio", "remote").
 	Name() string
 	// Solve decides one obligation under the budget.
 	Solve(ctx context.Context, ob *core.Obligation, b Budget) Outcome
@@ -85,10 +83,8 @@ func SameConfig(a, b Backend) bool {
 type Spec struct {
 	// Backend names the backend; empty means "native".
 	Backend string `json:"backend,omitempty"`
-	// Budget is the per-check conflict budget. For native and portfolio it
-	// caps every solve (0 = unlimited, or the caller's budget); for tiered
-	// it is the quick tier's budget (0 = DefaultTierBudget), with escalation
-	// running at the caller's budget. The remote backend forwards it to
+	// Budget is the per-check conflict budget: it caps every solve (0 =
+	// unlimited, or the caller's budget). The remote backend forwards it to
 	// workers per solve.
 	Budget int64 `json:"budget,omitempty"`
 	// Workers is the worker pool for the remote backend ("host:port"
@@ -150,7 +146,6 @@ func ParseSpec(s string) (Spec, error) {
 var registry = map[string]func(budget int64) Backend{
 	"native":    Native,
 	"portfolio": Portfolio,
-	"tiered":    Tiered,
 }
 
 // RemoteName is the registry name of the distributed fabric backend.

@@ -80,8 +80,8 @@ func backends(t *testing.T) map[string]solver.Backend {
 }
 
 // TestCrossBackendParity: every registered suite must yield identical
-// verdicts (the OK/Fail partition of its obligations) under the native,
-// portfolio, and tiered backends. Different heuristics may find different
+// verdicts (the OK/Fail partition of its obligations) under the native and
+// portfolio backends. Different heuristics may find different
 // counterexamples, but the verdict is a property of the formula.
 func TestCrossBackendParity(t *testing.T) {
 	bs := backends(t)
@@ -96,12 +96,10 @@ func TestCrossBackendParity(t *testing.T) {
 			if want.Status == core.StatusUnknown {
 				t.Fatalf("%s: native left %q unknown with unlimited budget", s.Name, ob.Desc)
 			}
-			for _, name := range []string{"portfolio", "tiered"} {
-				got := bs[name].Solve(context.Background(), ob, solver.Budget{})
-				if got.Status != want.Status {
-					t.Errorf("suite %s, check %q: %s=%v native=%v",
-						s.Name, ob.Desc, name, got.Status, want.Status)
-				}
+			got := bs["portfolio"].Solve(context.Background(), ob, solver.Budget{})
+			if got.Status != want.Status {
+				t.Errorf("suite %s, check %q: portfolio=%v native=%v",
+					s.Name, ob.Desc, got.Status, want.Status)
 			}
 		}
 	}
@@ -123,14 +121,12 @@ func TestCrossBackendParityOnFailures(t *testing.T) {
 				t.Fatalf("failed check %q has no counterexample", ob.Desc)
 			}
 		}
-		for _, name := range []string{"portfolio", "tiered"} {
-			got := bs[name].Solve(context.Background(), ob, solver.Budget{})
-			if got.Status != want.Status {
-				t.Errorf("check %q: %s=%v native=%v", ob.Desc, name, got.Status, want.Status)
-			}
-			if got.Status == core.StatusFail && got.Counterexample == nil {
-				t.Errorf("check %q: %s failed without a counterexample", ob.Desc, name)
-			}
+		got := bs["portfolio"].Solve(context.Background(), ob, solver.Budget{})
+		if got.Status != want.Status {
+			t.Errorf("check %q: portfolio=%v native=%v", ob.Desc, got.Status, want.Status)
+		}
+		if got.Status == core.StatusFail && got.Counterexample == nil {
+			t.Errorf("check %q: portfolio failed without a counterexample", ob.Desc)
 		}
 	}
 	if fails == 0 {
@@ -162,30 +158,6 @@ func TestNativeBudgetYieldsUnknown(t *testing.T) {
 	}
 }
 
-// TestTieredEscalation: with a 1-conflict quick tier, hard checks escalate
-// to the full budget and still decide — no Unknown leaks out, and at least
-// one outcome records the escalation.
-func TestTieredEscalation(t *testing.T) {
-	b := solver.Tiered(1)
-	p := netgen.StressProblem(netgen.Fig1(netgen.Fig1Options{}), 4)
-	escalated := 0
-	for _, c := range p.Checks(core.Options{}) {
-		out := b.Solve(context.Background(), c.Obligation(), solver.Budget{})
-		if out.Status == core.StatusUnknown {
-			t.Fatalf("tiered with unlimited escalation left %q unknown", c.Desc)
-		}
-		if out.Escalated {
-			escalated++
-			if out.Backend != "tiered/full" {
-				t.Fatalf("escalated result labeled %q, want tiered/full", out.Backend)
-			}
-		}
-	}
-	if escalated == 0 {
-		t.Fatal("1-conflict quick tier escalated nothing; expected escalations")
-	}
-}
-
 func TestParseSpec(t *testing.T) {
 	cases := []struct {
 		in      string
@@ -194,14 +166,15 @@ func TestParseSpec(t *testing.T) {
 	}{
 		{in: "native", want: solver.Spec{Backend: "native"}},
 		{in: "portfolio", want: solver.Spec{Backend: "portfolio"}},
-		{in: "tiered:1000", want: solver.Spec{Backend: "tiered", Budget: 1000}},
+		{in: "portfolio:500", want: solver.Spec{Backend: "portfolio", Budget: 500}},
 		{in: "remote:h1:9001,h2:9001", want: solver.Spec{Backend: "remote", Workers: []string{"h1:9001", "h2:9001"}}},
 		{in: "remote: h1:9001 ,, h2:9001 ", want: solver.Spec{Backend: "remote", Workers: []string{"h1:9001", "h2:9001"}}},
 		{in: "remote", wantErr: true},
 		{in: "remote:", wantErr: true},
 		{in: "bogus", wantErr: true},
-		{in: "tiered:x", wantErr: true},
-		{in: "tiered:-5", wantErr: true},
+		{in: "tiered", wantErr: true}, // retired backend
+		{in: "portfolio:x", wantErr: true},
+		{in: "native:-5", wantErr: true},
 		{in: "native:1e3", wantErr: true},
 		{in: "native:100abc", wantErr: true},
 	}
@@ -217,6 +190,9 @@ func TestParseSpec(t *testing.T) {
 	}
 	if _, err := solver.New(solver.Spec{Backend: "bogus"}); err == nil {
 		t.Error("New accepted an unknown backend")
+	}
+	if got, want := solver.Names(), []string{"native", "portfolio", "remote"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Names() = %v, want %v", got, want)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // TimeBuckets is the default latency bucket ladder, in seconds: roughly
 // exponential from 100µs to 60s. It brackets everything the engine times —
 // sub-millisecond cache probes, millisecond solves, and multi-second
-// portfolio escalations — with enough resolution for p50/p99 estimates.
+// pigeonhole searches — with enough resolution for p50/p99 estimates.
 var TimeBuckets = []float64{
 	0.0001, 0.00025, 0.0005,
 	0.001, 0.0025, 0.005,
