@@ -1025,7 +1025,7 @@ func printMigrateEvent(ev migrate.Event) {
 		}
 	case migrate.EvStepOK:
 		if ev.Unchanged {
-			fmt.Printf("%sstep %d (%s): ok [no-op: source unchanged]\n", prefix, ev.Step, ev.Label)
+			fmt.Printf("%sstep %d (%s): ok [no-op: network unchanged]\n", prefix, ev.Step, ev.Label)
 			return
 		}
 		fmt.Printf("%sstep %d (%s): ok — %d checks, %d dirty, %d reused, %d solved\n",

@@ -98,7 +98,9 @@
 //
 //	POST /v2/sessions/{id}/update
 //	    Body: {"network": <plan network source>}. Diffs the new network
-//	    against the pinned state and re-solves only dirtied checks.
+//	    against the pinned state and re-solves only dirtied checks. The
+//	    session pins properties and options: a body carrying either is a
+//	    400.
 //
 //	POST /v2/sessions/{id}/migrate
 //	    Body: {"steps": [...], "unordered": bool, "search_budget": N} — a

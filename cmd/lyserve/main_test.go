@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"lightyear/internal/config"
 	"lightyear/internal/engine"
 	"lightyear/internal/netgen"
 )
@@ -813,7 +814,8 @@ func baseProblemCount(t *testing.T, ts *httptest.Server, id string) int {
 }
 
 // TestSessionUpdateAmbiguousSourceRejected: an update body setting both
-// config and generator must 400, not silently pick one.
+// config and generator must 400, not silently pick one; so must a body
+// carrying properties or options, which the session pins.
 func TestSessionUpdateAmbiguousSourceRejected(t *testing.T) {
 	ts := newTestServer(t)
 	_, accepted := postJSON(t, ts.URL+"/v2/sessions", fig1Plan)
@@ -829,6 +831,70 @@ func TestSessionUpdateAmbiguousSourceRejected(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("update with ambiguous network %.40s... = %d (%v), want 400", body, resp.StatusCode, out)
 		}
+	}
+	for name, body := range map[string]string{
+		"properties": `{"network": {"generator": {"kind": "fig1"}}, "properties": [{"name": "fig1-liveness"}]}`,
+		"options":    `{"network": {"generator": {"kind": "fig1"}}, "options": {"solver": "portfolio"}}`,
+	} {
+		resp, out := postJSON(t, ts.URL+"/v2/sessions/"+id+"/update", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("update carrying %s = %d (%v), want 400", name, resp.StatusCode, out)
+		}
+	}
+}
+
+// TestSessionCommentOnlyUpdateAfterBuggyUpdate: a comment-only edit of an
+// update that is still queued must verify that update's network, not the
+// state pinned before it. Pin a clean WAN, post a config with a missing
+// bogon filter, then at once the same config plus a comment: both updates
+// must fail, and the session must end pinned on the buggy network.
+func TestSessionCommentOnlyUpdateAfterBuggyUpdate(t *testing.T) {
+	ts := newTestServer(t)
+	p := netgen.DefaultWANParams()
+	clean := netgen.WANDSL(p, netgen.WANBugs{})
+	buggy := netgen.WANDSL(p, netgen.WANBugs{MissingBogonFilter: true})
+	body, err := json.Marshal(map[string]any{
+		"network":    map[string]string{"config": clean},
+		"properties": []map[string]string{{"name": "wan-peering"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, accepted := postJSON(t, ts.URL+"/v2/sessions", string(body))
+	id, _ := accepted["id"].(string)
+	if id == "" {
+		t.Fatalf("session create: %v", accepted)
+	}
+	st := waitRunDone(t, ts, id, 0)
+	if base := st.Runs[0]; base.Result == nil || !base.Result.OK {
+		t.Fatalf("clean baseline must verify: %+v (err %s)", base, base.Error)
+	}
+
+	update := func(cfg string) int {
+		b, err := json.Marshal(map[string]any{"network": map[string]string{"config": cfg}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return postUpdateV2(t, ts, id, string(b))
+	}
+	bug := update(buggy)
+	commented := update("# annotate the rollout\n" + buggy)
+	st = waitRunDone(t, ts, id, commented)
+	for _, seq := range []int{bug, commented} {
+		run := st.Runs[seq]
+		if run.Status != "done" || run.Result == nil {
+			t.Fatalf("update %d: %+v (err %s)", seq, run, run.Error)
+		}
+		if run.Result.OK {
+			t.Errorf("update %d reports OK on a network missing its bogon filter (dirty %d)", seq, run.Result.DirtyChecks)
+		}
+	}
+	n, err := config.Parse(buggy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Fingerprint != n.Fingerprint() {
+		t.Errorf("session pinned %s, want the buggy network %s", st.Fingerprint, n.Fingerprint())
 	}
 }
 

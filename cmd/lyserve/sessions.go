@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"lightyear/internal/config"
 	"lightyear/internal/delta"
 	"lightyear/internal/engine"
 	"lightyear/internal/migrate"
@@ -39,7 +38,6 @@ type session struct {
 	running    int       // runs dequeued by the worker but not yet recorded
 	lastActive time.Time // last launch or run completion
 	closed     bool      // session deleted: worker exits, launches are refused
-	srcFP      string    // config.SourceFingerprint of the last inline-config network; "" when generator-sourced
 }
 
 // expireIfIdle closes the session if it has been idle (no queued or
@@ -111,9 +109,6 @@ func (s *server) createSession(w http.ResponseWriter, c *plan.Compiled) {
 		verifier:   delta.NewVerifierFor(s.eng, c),
 		store:      s.store,
 		wake:       make(chan struct{}, 1),
-	}
-	if cfg := c.Request.Network.Config; cfg != "" {
-		sess.srcFP = config.SourceFingerprint(cfg)
 	}
 	// The request's tenant, priority, and solver backend follow the
 	// session: every incremental update's dirty subset is admitted under
@@ -215,63 +210,17 @@ func launchUpdate(w http.ResponseWriter, sess *session, n *topology.Network) {
 	})
 }
 
-// sameConfigSource reports whether an inline-config update normalizes to
-// the session's pinned source — a comment- or whitespace-only diff — and,
-// when it does, returns the pinned network so the handler can skip the
-// parse and scope re-validation entirely; the queued update then hits the
-// delta verifier's unchanged fast path and republishes the pinned verdicts
-// (Result.Unchanged) without re-solving anything. A genuinely new source
-// re-pins the session's fingerprint and materializes normally. cfg == ""
-// (generator-sourced update) never matches.
-func (sess *session) sameConfigSource(cfg string) (*topology.Network, bool) {
-	if cfg == "" {
-		return nil, false
-	}
-	fp := config.SourceFingerprint(cfg)
-	sess.mu.Lock()
-	same := sess.srcFP != "" && fp == sess.srcFP
-	sess.mu.Unlock()
-	if !same {
-		return nil, false
-	}
-	// Before the baseline run completes there is no pinned state to reuse;
-	// fall through to a normal materialized update (it queues behind the
-	// baseline anyway).
-	n := sess.verifier.PinnedNetwork()
-	return n, n != nil
-}
-
-// pinSourceFP records the source identity of the network an update
-// successfully materialized from: the normalized config fingerprint for
-// inline-config updates, or "" for generator-sourced ones (the pinned
-// state no longer corresponds to any stored config source, so nothing may
-// match it). Deliberately called only after Materialize succeeds — a
-// source the parser rejects must never become the comparison base, or
-// resubmitting the same broken source would silently "match" and skip the
-// error.
-func (sess *session) pinSourceFP(cfg string) {
-	fp := ""
-	if cfg != "" {
-		fp = config.SourceFingerprint(cfg)
-	}
-	sess.mu.Lock()
-	sess.srcFP = fp
-	sess.mu.Unlock()
-}
-
-// currentSrcFP reads the session's pinned source fingerprint.
-func (sess *session) currentSrcFP() string {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.srcFP
-}
-
 // sessionUpdateV2 is the POST /v2/sessions/{id}/update body: a new network
 // state for the session's pinned plan, plus (optionally) the caller's
-// tenant when it is not asserted via header or query.
+// tenant when it is not asserted via header or query. Properties and
+// Options are decoded only so that bodies carrying them are rejected: the
+// session pins both, and ignoring them would verify a suite the caller did
+// not ask for.
 type sessionUpdateV2 struct {
-	Network plan.Network `json:"network"`
-	Tenant  string       `json:"tenant,omitempty"`
+	Network    plan.Network    `json:"network"`
+	Properties json.RawMessage `json:"properties,omitempty"`
+	Options    json.RawMessage `json:"options,omitempty"`
+	Tenant     string          `json:"tenant,omitempty"`
 }
 
 func (s *server) handleSessionUpdateV2(w http.ResponseWriter, r *http.Request) {
@@ -286,11 +235,11 @@ func (s *server) handleSessionUpdateV2(w http.ResponseWriter, r *http.Request) {
 	if !sessionTenantAllowed(w, r, sess, req.Tenant) {
 		return
 	}
-	if !rejectConfigPath(w, req.Network) {
+	if req.Properties != nil || req.Options != nil {
+		httpError(w, http.StatusBadRequest, "properties and options are pinned by the session; an update carries only a network")
 		return
 	}
-	if n, ok := sess.sameConfigSource(req.Network.Config); ok {
-		launchUpdate(w, sess, n)
+	if !rejectConfigPath(w, req.Network) {
 		return
 	}
 	n, _, err := req.Network.Materialize(s)
@@ -305,7 +254,6 @@ func (s *server) handleSessionUpdateV2(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, strings.TrimPrefix(err.Error(), "plan: "))
 		return
 	}
-	sess.pinSourceFP(req.Network.Config)
 	launchUpdate(w, sess, n)
 }
 
@@ -353,7 +301,7 @@ func (s *server) handleSessionMigrate(w http.ResponseWriter, r *http.Request) {
 			Steps:        req.Steps,
 			Unordered:    req.Unordered,
 			SearchBudget: req.SearchBudget,
-		}, sess.plan, sess.currentSrcFP())
+		}, sess.plan)
 		return cerr == nil
 	})
 	if !ok {
@@ -375,12 +323,11 @@ func (s *server) handleSessionMigrate(w http.ResponseWriter, r *http.Request) {
 		defer close(events)
 		defer tr.Finish()
 		res, err := migrate.Run(context.Background(), s.eng, c, migrate.RunConfig{
-			Verifier:         sess.verifier,
-			BaselineSourceFP: sess.currentSrcFP(),
-			Reservation:      resv, // released by Run
-			Store:            s.store,
-			Recorder:         s.rec,
-			Trace:            tr,
+			Verifier:    sess.verifier,
+			Reservation: resv, // released by Run
+			Store:       s.store,
+			Recorder:    s.rec,
+			Trace:       tr,
 			Sink: func(ev migrate.Event) {
 				select {
 				case events <- ev:
@@ -535,19 +482,8 @@ func (sess *session) worker() {
 				if err != nil {
 					q.run.status = "failed"
 					q.run.errMsg = err.Error()
-					// The rollback to the original baseline may itself have
-					// failed; the pinned state is unknown, so no stored
-					// source may claim to match it.
-					sess.srcFP = ""
 				} else {
 					q.run.status = "done"
-					if mres.OK {
-						// The final migrated state is the session's new
-						// baseline: re-pin its source identity ("" when it is
-						// mutation-derived and corresponds to no stored
-						// config source) so the no-op fast path stays sound.
-						sess.srcFP = mres.FinalSourceFP
-					}
 				}
 				sess.running--
 				sess.lastActive = time.Now()

@@ -120,16 +120,16 @@
 // each a full replacement config or a named route-map edit
 // (netgen.MutationSpec: insert/remove an import or export clause, tighten a
 // router's peer imports) — verifying every intermediate state as a dirty-
-// subset delta re-solve on one delta.Verifier. Steps whose config source is
-// unchanged (config.SourceFingerprint — comments and whitespace don't
-// count) skip solving entirely; a violating step stops the walk and reports
-// its index, failing checks, and witnesses. For an unordered change set
-// ("unordered": true) migrate.Run searches for a safe order instead:
-// depth-first over permutations, pruning interchangeable orders of
-// independent steps (disjoint touched routers commute), memoizing verified
-// intermediate states by network fingerprint, and bounded by a search
-// budget — answering a safe order, or a minimal explanation of why none
-// exists. The whole plan is admitted up front as one engine.Reserve unit.
+// subset delta re-solve on one delta.Verifier. A step that parses to the
+// network already pinned (a comment- or whitespace-only edit) takes the
+// verifier's unchanged path and solves nothing; a violating step stops the
+// walk and reports its index, failing checks, and witnesses. For an
+// unordered change set ("unordered": true) migrate.Run searches for a safe
+// order instead: depth-first over permutations, pruning interchangeable
+// orders of independent steps (disjoint touched routers commute),
+// memoizing verified intermediate states by network fingerprint, and
+// bounded by a search budget — answering a safe order, or a minimal
+// explanation of why none exists. The whole plan is admitted up front as one engine.Reserve unit.
 // Surfaces: `lightyear -migrate steps.json` (exit 0 safe, 1 violated at
 // step k, 3 undecided, 4 no safe order), POST /v2/sessions/{id}/migrate on
 // lyserve (streams step events as NDJSON; success re-pins the session on

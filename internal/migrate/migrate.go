@@ -96,13 +96,10 @@ func Steps(ms []netgen.MigrationStep) []Step {
 }
 
 // compiledStep is one validated step. Config steps are materialized at
-// compile time (parse errors are usage errors, not step violations) and
-// carry the source fingerprint the no-op fast path compares.
+// compile time (parse errors are usage errors, not step violations).
 type compiledStep struct {
 	label    string
 	mutation *netgen.MutationSpec
-	config   string
-	srcFP    string
 	network  *topology.Network
 }
 
@@ -111,8 +108,7 @@ type Compiled struct {
 	Plan  Plan
 	Inner *plan.Compiled // the property scope every intermediate state is checked against
 
-	steps     []compiledStep
-	baseSrcFP string // config fingerprint of the baseline source ("" if not config-sourced)
+	steps []compiledStep
 }
 
 // Compile validates and materializes a standalone plan: the baseline network
@@ -131,9 +127,6 @@ func Compile(p Plan, res plan.Resolver) (*Compiled, error) {
 		return nil, err
 	}
 	c := &Compiled{Plan: p, Inner: inner}
-	if p.Network.Config != "" {
-		c.baseSrcFP = config.SourceFingerprint(p.Network.Config)
-	}
 	if err := c.compileSteps(); err != nil {
 		return nil, err
 	}
@@ -142,14 +135,12 @@ func Compile(p Plan, res plan.Resolver) (*Compiled, error) {
 
 // CompileSteps compiles just a plan's step list against an already-compiled
 // inner plan — the lyserve path, where a session pins network, properties,
-// and options, and the migrate body may only carry steps. baseSrcFP is the
-// config fingerprint of the session's pinned baseline ("" if unknown),
-// seeding the no-op fast path for the first step.
-func CompileSteps(p Plan, inner *plan.Compiled, baseSrcFP string) (*Compiled, error) {
+// and options, and the migrate body may only carry steps.
+func CompileSteps(p Plan, inner *plan.Compiled) (*Compiled, error) {
 	if p.Network != nil || len(p.Properties) > 0 {
 		return nil, plan.RequestErrorf("migrate: network and properties are pinned by the session")
 	}
-	c := &Compiled{Plan: p, Inner: inner, baseSrcFP: baseSrcFP}
+	c := &Compiled{Plan: p, Inner: inner}
 	if err := c.compileSteps(); err != nil {
 		return nil, err
 	}
@@ -181,8 +172,6 @@ func (c *Compiled) compileSteps() error {
 			if err := c.Inner.ValidateScopes(n); err != nil {
 				return plan.RequestErrorf("migrate: step %d (%s): %v", i, cs.label, err)
 			}
-			cs.config = s.Config
-			cs.srcFP = config.SourceFingerprint(s.Config)
 			cs.network = n
 		case s.Mutation != nil:
 			if err := s.Mutation.Validate(); err != nil {

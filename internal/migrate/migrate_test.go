@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"lightyear/internal/config"
 	"lightyear/internal/delta"
 	"lightyear/internal/engine"
 	"lightyear/internal/migrate"
@@ -63,9 +62,6 @@ func TestOrderedSafeOrderReusesDelta(t *testing.T) {
 		if !sr.OK || sr.Dirty == 0 || sr.Reused == 0 || sr.Dirty >= sr.Checks {
 			t.Fatalf("step %s must mix dirty work and reuse: %+v", sr.Label, sr)
 		}
-	}
-	if res.FinalSourceFP != "" {
-		t.Fatalf("mutation-derived final state must carry no source fingerprint, got %q", res.FinalSourceFP)
 	}
 }
 
@@ -189,10 +185,9 @@ originate R1 -> R3 route 10.50.0.0/16 lp 100
 originate R1 -> ISP1 route 10.50.0.0/16 lp 100
 `
 
-// TestCommentOnlyConfigStepFastPath: a step whose config normalizes to the
-// pinned source (a comment-only rollout) completes without touching the
-// verifier — no dirty checks, no solves — and the final fingerprint is the
-// baseline's.
+// TestCommentOnlyConfigStepFastPath: a step whose config parses to the
+// pinned network (a comment-only rollout) takes the delta verifier's
+// unchanged path — no dirty checks, no solves.
 func TestCommentOnlyConfigStepFastPath(t *testing.T) {
 	p := migrate.Plan{
 		Network:    &plan.Network{Config: fig1DSL},
@@ -208,9 +203,6 @@ func TestCommentOnlyConfigStepFastPath(t *testing.T) {
 	sr := res.Steps[0]
 	if !sr.Unchanged || sr.Dirty != 0 || sr.Solved != 0 {
 		t.Fatalf("comment-only step must take the no-op fast path: %+v", sr)
-	}
-	if res.FinalSourceFP != config.SourceFingerprint(fig1DSL) {
-		t.Fatalf("final source fingerprint %q should be the baseline's", res.FinalSourceFP)
 	}
 }
 
@@ -429,7 +421,7 @@ func TestCompileRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = migrate.CompileSteps(migrate.Plan{Network: net,
-		Steps: []migrate.Step{{Mutation: &shield}}}, inner, "")
+		Steps: []migrate.Step{{Mutation: &shield}}}, inner)
 	var reqErr *plan.RequestError
 	if !errors.As(err, &reqErr) {
 		t.Errorf("CompileSteps with a network: err = %v, want plan.RequestError", err)
